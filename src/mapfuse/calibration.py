@@ -85,7 +85,7 @@ def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
     t0 = trajectory.t0
     kept = tuple(p for p in trajectory.probes
                  if abs((p.t - t0) / keep_interval - round((p.t - t0) / keep_interval)) < 1e-6)
-    return Trajectory(trajectory.id, trajectory.vehicle, kept, trajectory.finished)
+    return Trajectory(trajectory.id, trajectory.vehicle, kept)
 
 
 def path_accuracy(path_edges: Sequence[EdgeKey], truth_edges: Sequence[EdgeKey]) -> float:

@@ -100,26 +100,29 @@ def _build_matcher_config(args, config: dict, weights: FusionWeights) -> Matcher
     known = {"kinematic", "habit", "traffic"}
     if not judges <= known:
         raise InputFormatError(f"unknown judges {sorted(judges - known)}")
-    return MatcherConfig(
-        split_length=float(_resolve(args, config, "split_length")),
-        vicinity_radius=float(_resolve(args, config, "radius")),
-        speed_decay=float(_resolve(args, config, "speed_decay")),
-        collab_spatial_radius=float(_resolve(args, config, "collab_spatial")),
-        collab_temporal_radius=float(_resolve(args, config, "collab_temporal")),
-        neighbor_weight=float(_resolve(args, config, "neighbor_weight")),
-        temporal_mode=str(_resolve(args, config, "temporal_mode")),
-        update_interval=float(_resolve(args, config, "update_interval")),
-        lookback=float(_resolve(args, config, "lookback")),
-        decay_ratio=float(_resolve(args, config, "decay_ratio")),
-        weights=weights,
-        predictor=str(_resolve(args, config, "predictor")),
-        use_kinematic="kinematic" in judges,
-        use_habit="habit" in judges,
-        use_traffic="traffic" in judges,
-        k_floor=int(_resolve(args, config, "k_floor")),
-        k_cap=int(_resolve(args, config, "k_cap")),
-        trip_gap=float(_resolve(args, config, "trip_gap")),
-    )
+    try:
+        return MatcherConfig(
+            split_length=float(_resolve(args, config, "split_length")),
+            vicinity_radius=float(_resolve(args, config, "radius")),
+            speed_decay=float(_resolve(args, config, "speed_decay")),
+            collab_spatial_radius=float(_resolve(args, config, "collab_spatial")),
+            collab_temporal_radius=float(_resolve(args, config, "collab_temporal")),
+            neighbor_weight=float(_resolve(args, config, "neighbor_weight")),
+            temporal_mode=str(_resolve(args, config, "temporal_mode")),
+            update_interval=float(_resolve(args, config, "update_interval")),
+            lookback=float(_resolve(args, config, "lookback")),
+            decay_ratio=float(_resolve(args, config, "decay_ratio")),
+            weights=weights,
+            predictor=str(_resolve(args, config, "predictor")),
+            use_kinematic="kinematic" in judges,
+            use_habit="habit" in judges,
+            use_traffic="traffic" in judges,
+            k_floor=int(_resolve(args, config, "k_floor")),
+            k_cap=int(_resolve(args, config, "k_cap")),
+            trip_gap=float(_resolve(args, config, "trip_gap")),
+        )
+    except (TypeError, ValueError) as exc:
+        raise InputFormatError(f"pipeline setting: {exc}") from exc
 
 
 def _load_trajectories(probes_path: str, trip_gap: float) -> list[Trajectory]:
@@ -344,8 +347,7 @@ def _cmd_calibrate(args) -> int:
                     y = cal.path_accuracy(cand.edges, tuple(truth_edges))
                     samples.append(cal.CalibrationSample(
                         sv.kinematic / 100.0, sv.habit / 100.0, sv.traffic / 100.0, y))
-            session.history.record_match(rec)
-            session.traffic.add_locations(rec.matched_locations())
+            session.feed_back(rec)
     if args.samples_out:
         cal.write_samples_csv(args.samples_out, samples)
     if len(samples) < 30:

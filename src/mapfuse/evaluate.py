@@ -71,14 +71,6 @@ class EvalReport:
         }, indent=2, sort_keys=True)
 
 
-def _interval_of_trajectory(rows: Rows, trajectory_id: str) -> int | None:
-    times = sorted(row.timestamp for (tid, _), row in rows.items() if tid == trajectory_id)
-    gaps = [b - a for a, b in zip(times, times[1:])]
-    if not gaps:
-        return None
-    return int(round(statistics.median(gaps)))
-
-
 def evaluate_rows(pred: Rows, truth: Rows, *, cost: float | None = None,
                   config_echo: dict | None = None) -> EvalReport:
     """Full report over aligned prediction and truth rows.
@@ -88,11 +80,14 @@ def evaluate_rows(pred: Rows, truth: Rows, *, cost: float | None = None,
     """
     report = EvalReport(accuracy_index(pred, truth), recall_index(pred, truth),
                         cost, config_echo=config_echo or {})
-    trajectory_ids = sorted({tid for tid, _ in truth})
+    times: dict[str, list[float]] = {tid: [] for tid, _ in truth}
+    for (tid, _), row in pred.items():
+        times[tid].append(row.timestamp)
     buckets: dict[int, list[str]] = {}
-    for tid in trajectory_ids:
-        interval = _interval_of_trajectory(pred, tid)
-        if interval is not None:
+    for tid in sorted(times):
+        ts = sorted(times[tid])
+        if len(ts) > 1:
+            interval = int(round(statistics.median(b - a for a, b in zip(ts, ts[1:]))))
             buckets.setdefault(interval, []).append(tid)
     for interval, tids in buckets.items():
         wanted = set(tids)

@@ -11,7 +11,7 @@ import csv
 import math
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from .network import EdgeKey, InputFormatError, RoadNetwork
@@ -31,7 +31,7 @@ class Probe:
     lat: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lon) and math.isfinite(self.lat) and math.isfinite(self.t)):
+        if not all(map(math.isfinite, (self.lon, self.lat, self.t, self.bearing))):
             raise ValueError("probe has non-finite fields")
         if not (0.0 <= self.speed < MAX_PROBE_SPEED):
             raise ValueError(f"probe speed {self.speed} outside [0, {MAX_PROBE_SPEED})")
@@ -42,7 +42,6 @@ class Trajectory:
     id: str
     vehicle: str
     probes: tuple[Probe, ...]
-    finished: bool = True
 
     def __post_init__(self):
         for a, b in zip(self.probes, self.probes[1:]):
@@ -91,7 +90,6 @@ class MatchRecord:
     end_lonlat: tuple[float, float]
     t0: float
     t_end: float
-    completed_at: float = 0.0
 
     def matched_locations(self) -> list[tuple[float, int]]:
         """(timestamp, link id) for every matched probe."""
@@ -137,8 +135,8 @@ class CollaborationContext:
     """Pre-aggregated usage counts for scoring one trajectory's candidates.
 
     ``weighted_counts`` already folds the neighbor weight in, so the mean
-    usage of a path is a plain sum over its edges divided by
-    ``member_mass * n_edges``.
+    usage of a path is a plain sum over its edges divided by ``member_mass``
+    times the path's edge count.
     """
 
     group: frozenset[str]
@@ -201,9 +199,6 @@ class HistoryStore:
     def records(self) -> list[MatchRecord]:
         return [self._trips[tid].record for tid in sorted(self._trips)]
 
-    def trip_counts(self, trajectory_id: str) -> Counter:
-        return self._trips[trajectory_id].counts
-
     def vehicle_counts(self, vehicle: str, before_t: float) -> Counter:
         """Aggregate edge usage over a vehicle's trips finished before ``before_t``."""
         total: Counter = Counter()
@@ -213,30 +208,18 @@ class HistoryStore:
                 total.update(trip.counts)
         return total
 
-    def matched_locations(self) -> list[tuple[float, int]]:
-        out = []
-        for tid in sorted(self._trips):
-            out.extend(self._trips[tid].record.matched_locations())
-        return out
-
     # -- collaborative group ------------------------------------------------
 
     def collaborative_group(self, trajectory: Trajectory, spatial_radius: float,
                             temporal_radius: float, *,
-                            temporal_mode: str = "time-of-day",
-                            streaming: bool = False) -> set[str]:
+                            temporal_mode: str = "time-of-day") -> set[str]:
         """Finished trips whose endpoints and times sit near the ego trip's.
 
         Time comparison defaults to time-of-day because habits repeat daily;
-        ``temporal_mode="absolute"`` restores plain timestamp distance. With
-        ``streaming=True`` an unfinished ego trajectory is allowed and the
-        end-anchored filters are skipped.
+        ``temporal_mode="absolute"`` restores plain timestamp distance.
         """
         if temporal_mode not in ("time-of-day", "absolute"):
             raise ValueError(f"unknown temporal mode {temporal_mode!r}")
-        if not trajectory.finished and not streaming:
-            raise ValueError("unfinished trajectory requires streaming mode")
-        use_end = trajectory.finished
         proj = self.network.projector
         sx, sy = proj.to_plane(trajectory.start.lon, trajectory.start.lat)
         ex, ey = proj.to_plane(trajectory.end.lon, trajectory.end.lat)
@@ -255,47 +238,24 @@ class HistoryStore:
                 continue
             if tdist(rec.t0, trajectory.t0) > temporal_radius:
                 continue
-            if use_end:
-                if math.hypot(trip.x1 - ex, trip.y1 - ey) > spatial_radius:
-                    continue
-                if tdist(rec.t_end, trajectory.t_end) > temporal_radius:
-                    continue
+            if math.hypot(trip.x1 - ex, trip.y1 - ey) > spatial_radius:
+                continue
+            if tdist(rec.t_end, trajectory.t_end) > temporal_radius:
+                continue
             group.add(tid)
         return group
 
-    def usage_frequency(self, ego_vehicle: str, group: Iterable[str],
-                        path_edges: Sequence[EdgeKey], neighbor_weight: float,
-                        *, before_t: float) -> float:
-        """Weighted mean per-edge usage of a path.
+    def collaboration_context(self, trajectory: Trajectory, spatial_radius: float,
+                              temporal_radius: float, neighbor_weight: float,
+                              *, temporal_mode: str = "time-of-day") -> CollaborationContext:
+        """Fold ego history and group counts into one weighted counter.
 
         The ego slot aggregates the whole finished history of the ego
         vehicle (its habit); each group member from another vehicle
         contributes its own trip counts at ``neighbor_weight``.
         """
-        if not path_edges:
-            raise ValueError("empty path")
-        if not (0.0 <= neighbor_weight <= 1.0):
-            raise ValueError("neighbor weight must be in [0, 1]")
-        ego = self.vehicle_counts(ego_vehicle, before_t)
-        total = float(sum(ego.get(e, 0) for e in path_edges))
-        n_neighbors = 0
-        for tid in sorted(set(group)):
-            trip = self._trips.get(tid)
-            if trip is None or trip.record.vehicle == ego_vehicle:
-                continue
-            n_neighbors += 1
-            total += neighbor_weight * sum(trip.counts.get(e, 0) for e in path_edges)
-        mass = 1.0 + neighbor_weight * n_neighbors
-        return total / (mass * len(path_edges))
-
-    def collaboration_context(self, trajectory: Trajectory, spatial_radius: float,
-                              temporal_radius: float, neighbor_weight: float,
-                              *, temporal_mode: str = "time-of-day",
-                              streaming: bool = False) -> CollaborationContext:
-        """Fold ego history and group counts into one weighted counter."""
-        group = self.collaborative_group(
-            trajectory, spatial_radius, temporal_radius,
-            temporal_mode=temporal_mode, streaming=streaming)
+        group = self.collaborative_group(trajectory, spatial_radius, temporal_radius,
+                                         temporal_mode=temporal_mode)
         weighted: dict[EdgeKey, float] = {}
         for edge, count in self.vehicle_counts(trajectory.vehicle, trajectory.t0).items():
             weighted[edge] = weighted.get(edge, 0.0) + count
@@ -370,7 +330,7 @@ class HistoryStore:
                 matched_edges=matched, paths=paths,
                 start_lonlat=(traj.start.lon, traj.start.lat),
                 end_lonlat=(traj.end.lon, traj.end.lat),
-                t0=traj.t0, t_end=traj.t_end, completed_at=traj.t_end))
+                t0=traj.t0, t_end=traj.t_end))
             loaded += 1
         return loaded
 
@@ -402,8 +362,12 @@ def load_probes_csv(path: str) -> dict[str, list[Probe]]:
                 by_vehicle.setdefault(rec["vehicle_id"], []).append(probe)
     except OSError as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
-    for probes in by_vehicle.values():
+    for vehicle, probes in by_vehicle.items():
         probes.sort(key=lambda p: p.t)
+        for a, b in zip(probes, probes[1:]):
+            if a.t == b.t:
+                raise InputFormatError(f"{path}: vehicle {vehicle} has two probes at "
+                                       f"timestamp {a.t}")
     return by_vehicle
 
 

@@ -50,6 +50,20 @@ class MatcherConfig:
     k_cap: int = 200
     trip_gap: float = 900.0
 
+    def __post_init__(self):
+        for name in ("vicinity_radius", "speed_decay", "update_interval"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not 0.0 <= self.neighbor_weight <= 1.0:
+            raise ValueError(f"neighbor_weight must be in [0, 1], got {self.neighbor_weight}")
+        if self.k_floor < 1:
+            raise ValueError(f"k_floor must be at least 1, got {self.k_floor}")
+        if self.predictor not in ("none", "naive", "spectral"):
+            raise ValueError(f"unknown predictor {self.predictor!r}")
+        if self.temporal_mode not in ("time-of-day", "absolute"):
+            raise ValueError(f"unknown temporal_mode {self.temporal_mode!r}")
+
     def traffic_config(self) -> TrafficConfig:
         return TrafficConfig(self.update_interval, self.lookback, self.decay_ratio)
 
@@ -59,8 +73,8 @@ class SegmentOutcome:
     path: CandidatePath
     scores: ScoreVector
     final: float
-    candidates: list[CandidatePath] | None = None
-    candidate_scores: list[ScoreVector] | None = None
+    candidates: list[CandidatePath]
+    candidate_scores: list[ScoreVector]
 
 
 class TrafficLedger:
@@ -130,8 +144,6 @@ class MatchSession:
                  predictor_model: SpectralPredictor | None = None):
         self.network = network
         self.config = config or MatcherConfig()
-        if self.config.predictor not in ("none", "naive", "spectral"):
-            raise ValueError(f"unknown predictor {self.config.predictor!r}")
         if self.config.predictor == "spectral" and predictor_model is None:
             raise ValueError("spectral predictor requires a trained model checkpoint")
         self.history = history if history is not None else HistoryStore(network)
@@ -146,8 +158,12 @@ class MatchSession:
     def seed_history(self, records: Iterable[MatchRecord]) -> None:
         """Ingest past results (e.g. from a log) before matching."""
         for record in sorted(records, key=lambda r: (r.t_end, r.trajectory_id)):
-            self.history.record_match(record)
-            self.traffic.add_locations(record.matched_locations())
+            self.feed_back(record)
+
+    def feed_back(self, record: MatchRecord) -> None:
+        """Write a finished record into the history store and the traffic ledger."""
+        self.history.record_match(record)
+        self.traffic.add_locations(record.matched_locations())
 
     # -- pipeline stages -----------------------------------------------------
 
@@ -160,8 +176,7 @@ class MatchSession:
     def match_segment(self, p_prev: Probe, p_cur: Probe,
                       carried: Sequence[CandidateEdge],
                       collab: CollaborationContext | None,
-                      budget: int, *, collect: bool = False,
-                      label: str = "") -> SegmentOutcome | None:
+                      budget: int, *, label: str = "") -> SegmentOutcome | None:
         """Infer the path between two probes, or None when nothing survives."""
         cfg = self.config
         dt = p_cur.t - p_prev.t
@@ -197,11 +212,7 @@ class MatchSession:
         vectors = [ScoreVector(k, h, a) for k, h, a in zip(kin, habit, traffic)]
         finals = [final_score(v, weights) for v in vectors]
         idx, best = select_path(list(zip(paths, finals)))
-        outcome = SegmentOutcome(best, vectors[idx], finals[idx])
-        if collect:
-            outcome.candidates = paths
-            outcome.candidate_scores = vectors
-        return outcome
+        return SegmentOutcome(best, vectors[idx], finals[idx], paths, vectors)
 
     def match_trajectory(self, trajectory: Trajectory, *,
                          collect: bool = False) -> MatchRecord | tuple[MatchRecord, list]:
@@ -234,8 +245,7 @@ class MatchSession:
                 anchor = i if carried else None
                 continue
             outcome = self.match_segment(probes[i - 1], probes[i], carried, collab,
-                                         budget, collect=collect,
-                                         label=f"{trajectory.id}_{i}")
+                                         budget, label=f"{trajectory.id}_{i}")
             if outcome is None:
                 carried = self.match_first_probe(probes[i])
                 anchor = i if carried else None
@@ -256,7 +266,7 @@ class MatchSession:
             matched_edges=tuple(matched), paths=tuple(paths),
             start_lonlat=(probes[0].lon, probes[0].lat),
             end_lonlat=(probes[-1].lon, probes[-1].lat),
-            t0=trajectory.t0, t_end=trajectory.t_end, completed_at=trajectory.t_end)
+            t0=trajectory.t0, t_end=trajectory.t_end)
         if collect:
             return record, collected
         return record
@@ -278,8 +288,7 @@ class MatchSession:
 
     def _flush_pending(self) -> None:
         for record in self._pending:
-            self.history.record_match(record)
-            self.traffic.add_locations(record.matched_locations())
+            self.feed_back(record)
         self._pending.clear()
 
     def run(self, trajectories: Iterable[Trajectory], *, jobs: int = 1,

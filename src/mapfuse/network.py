@@ -140,7 +140,7 @@ class RoadNetwork:
                 self._grid.insert(edge)
         self._spectrum_lock = threading.RLock()
         self._adjacency: np.ndarray | None = None
-        self._spectrum: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+        self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- lookups ----------------------------------------------------------
 
@@ -212,13 +212,6 @@ class RoadNetwork:
         makes matrix powers blow up; rescaling by the largest eigenvalue
         keeps the spectral filters bounded while preserving eigenvectors.
         """
-        u, lam, _ = self._eigen()
-        return u, lam
-
-    def raw_laplacian_eigenvalues(self) -> np.ndarray:
-        return self._eigen()[2]
-
-    def _eigen(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._spectrum is None:
             with self._spectrum_lock:
                 if self._spectrum is None:
@@ -229,8 +222,8 @@ class RoadNetwork:
                         raise ValueError(f"Laplacian eigendecomposition failed: {exc}") from exc
                     raw = np.where(np.abs(raw) < 1e-12, 0.0, raw)
                     top = raw.max() if raw.size else 0.0
-                    lam = raw / top if top > 0 else raw.copy()
-                    self._spectrum = (u, lam, raw)
+                    lam = raw / top if top > 0 else raw
+                    self._spectrum = (u, lam)
         return self._spectrum
 
 

@@ -199,10 +199,6 @@ class CandidatePath:
     length: float                   # traveled meters, projection to projection
 
     @property
-    def n_edges(self) -> int:
-        return len(self.edges)
-
-    @property
     def n_links(self) -> int:
         return len(self.link_ids)
 
@@ -213,10 +209,6 @@ class CandidatePath:
     @property
     def end_edge(self) -> EdgeKey:
         return self.end.edge.key
-
-    @property
-    def interior_links(self) -> tuple[int, ...]:
-        return self.link_ids[1:-1]
 
 
 def candidate_path_budget(probe_interval: float, floor: int = 6, cap: int = 200) -> int:
@@ -242,35 +234,33 @@ class _SearchGraph:
         self.arc_weight: list[float] = []
         self.arc_kind: list[str] = []      # "link" | "start" | "end" | "hop"
         self.arc_payload: list[object] = []
-        self.arc_links: list[int] = []     # link-count increment
         self.adj: dict[object, list[int]] = {}
 
         for lid in sorted(subgraph.usable_links):
             link = net.link(lid)
-            self._add_arc(link.from_node, link.to_node, link.length, "link", lid, 1)
+            self._add_arc(link.from_node, link.to_node, link.length, "link", lid)
         for i, cand in enumerate(self.start_candidates):
             link = net.link(cand.edge.link_id)
             if not subgraph.segment_usable(link.id, cand.edge.index, len(link.edges)):
                 continue
             remaining = link.length - cand.link_offset
             node = ("s", i)
-            self._add_arc(_SRC, node, remaining, "start", i, 1)
-            self._add_arc(node, link.to_node, 0.0, "hop", None, 0)
+            self._add_arc(_SRC, node, remaining, "start", i)
+            self._add_arc(node, link.to_node, 0.0, "hop", None)
         for j, cand in enumerate(self.end_candidates):
             link = net.link(cand.edge.link_id)
             if not subgraph.segment_usable(link.id, 1, cand.edge.index):
                 continue
             node = ("e", j)
-            self._add_arc(link.from_node, node, cand.link_offset, "end", j, 1)
-            self._add_arc(node, _SNK, 0.0, "hop", None, 0)
+            self._add_arc(link.from_node, node, cand.link_offset, "end", j)
+            self._add_arc(node, _SNK, 0.0, "hop", None)
 
-    def _add_arc(self, src, dst, weight, kind, payload, links) -> None:
+    def _add_arc(self, src, dst, weight, kind, payload) -> None:
         arc = len(self.arc_dst)
         self.arc_dst.append(dst)
         self.arc_weight.append(weight)
         self.arc_kind.append(kind)
         self.arc_payload.append(payload)
-        self.arc_links.append(links)
         self.adj.setdefault(src, []).append(arc)
 
     def dijkstra(self, source, removed_arcs: set[int], removed_nodes: set) -> tuple[float, list[int]] | None:

@@ -175,7 +175,7 @@ class SyntheticFleet:
             matched_edges=matched, paths=tuple(paths),
             start_lonlat=(trajectory.start.lon, trajectory.start.lat),
             end_lonlat=(trajectory.end.lon, trajectory.end.lat),
-            t0=trajectory.t0, t_end=trajectory.t_end, completed_at=trajectory.t_end)
+            t0=trajectory.t0, t_end=trajectory.t_end)
 
     def truth_records(self, trajectories: Sequence[Trajectory] | None = None) -> list[MatchRecord]:
         source = trajectories if trajectories is not None else self.trajectories

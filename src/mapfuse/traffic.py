@@ -131,17 +131,13 @@ class SpectralPredictor:
 
     @classmethod
     def for_network(cls, network: RoadNetwork, max_steps: int,
-                    decay_ratio: float = 0.8, *,
-                    literal_powers: bool = False) -> "SpectralPredictor":
+                    decay_ratio: float = 0.8) -> "SpectralPredictor":
         """Untrained predictor for a network.
 
-        ``literal_powers=True`` uses raw eigenvalue powers for the initial
-        filters; the default rescales the spectrum to [0, 1] first so the
+        Initial filters are powers of the spectrum rescaled to [0, 1], so the
         powers stay bounded on any graph.
         """
         u, lam = network.laplacian_spectrum()
-        if literal_powers:
-            lam = network.raw_laplacian_eigenvalues()
         filters = np.stack([lam ** k for k in range(1, max_steps + 1)])
         return cls(u, filters, decay_weights(max_steps, decay_ratio),
                    _network_fingerprint(network))
@@ -163,14 +159,13 @@ class SpectralPredictor:
         mixed = (w[:, None] * self.filters[:len(w)] * z).sum(axis=0)
         return self.basis @ mixed
 
-    def forward(self, history: Sequence[np.ndarray], *, project: bool = True) -> np.ndarray:
+    def forward(self, history: Sequence[np.ndarray]) -> np.ndarray:
         """Predict the next interval's link shares.
 
         A spectral linear map does not preserve nonnegativity, so the output
         is clipped back to the simplex before it is consumed as shares.
         """
-        out = self.linear_forward(history)
-        return simplex_project(out) if project else out
+        return simplex_project(self.linear_forward(history))
 
     # -- training ----------------------------------------------------------
 

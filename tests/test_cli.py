@@ -119,6 +119,44 @@ class TestExitCodes:
         assert code == 2
 
 
+    @pytest.mark.parametrize("flags, config, name", [
+        (["--speed-decay", "0"], {}, "speed_decay"),
+        (["--radius", "0"], {}, "radius"),
+        (["--update-interval", "0"], {}, "update_interval"),
+        (["--k-floor", "0"], {}, "k_floor"),
+        ([], {"predictor": "foo"}, "predictor"),
+        ([], {"temporal_mode": "foo"}, "temporal_mode"),
+        (["--neighbor-weight", "-1", "--collab-spatial", "100000",
+          "--collab-temporal", "100000"], {}, "neighbor_weight"),
+    ])
+    def test_out_of_range_setting_is_2(self, workdir, capsys, flags, config, name):
+        _synth(workdir)
+        (workdir / "cfg.json").write_text(json.dumps(config))
+        code = main(["match", "--nodes", str(workdir / "nodes.csv"),
+                     "--links", str(workdir / "links.csv"),
+                     "--probes", str(workdir / "probes.csv"),
+                     "--out", str(workdir / "out.csv"),
+                     "--config", str(workdir / "cfg.json"), *flags])
+        assert code == 2
+        assert name in capsys.readouterr().err
+
+    @pytest.mark.parametrize("corrupt", ["duplicate_row", "nan_bearing"])
+    def test_malformed_probe_row_is_2(self, workdir, capsys, corrupt):
+        _synth(workdir)
+        lines = (workdir / "probes.csv").read_text().splitlines()
+        if corrupt == "duplicate_row":
+            lines.insert(3, lines[3])
+        else:
+            lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        (workdir / "bad.csv").write_text("\n".join(lines) + "\n")
+        code = main(["match", "--nodes", str(workdir / "nodes.csv"),
+                     "--links", str(workdir / "links.csv"),
+                     "--probes", str(workdir / "bad.csv"),
+                     "--out", str(workdir / "out.csv")])
+        assert code == 2
+        assert "bad.csv" in capsys.readouterr().err
+
+
 class TestConfigFile:
     def test_flags_win_over_config(self, workdir):
         _synth(workdir)

@@ -19,7 +19,7 @@ def _record(net, tid, vehicle, path_edges, *, t0=1000.0, t_end=1060.0,
         matched_edges=(path_edges[0], path_edges[-1]),
         paths=(None, tuple(path_edges)),
         start_lonlat=_lonlat(net, *start_xy), end_lonlat=_lonlat(net, *end_xy),
-        t0=t0, t_end=t_end, completed_at=t_end)
+        t0=t0, t_end=t_end)
 
 
 def _trajectory(net, tid, vehicle, *, t0=2000.0, t_end=2060.0,
@@ -95,14 +95,6 @@ class TestCollaborativeGroup:
         assert store.collaborative_group(traj, 300.0, 5.0, temporal_mode="absolute") == set()
         assert store.collaborative_group(traj, 300.0, 5.0) == {"n1-0"}
 
-    def test_unfinished_needs_streaming(self, chain_network):
-        store = HistoryStore(chain_network)
-        traj = Trajectory("j", "ego", _trajectory(chain_network, "j", "ego").probes,
-                          finished=False)
-        with pytest.raises(ValueError):
-            store.collaborative_group(traj, 300.0, 5.0)
-        store.collaborative_group(traj, 300.0, 5.0, streaming=True)
-
     def test_only_records_before_trip_start_qualify(self, chain_network):
         store = HistoryStore(chain_network)
         store.record_match(_record(chain_network, "n1-0", "n1", ((0, 1), (0, 2)),
@@ -127,6 +119,11 @@ class TestCollaborativeGroup:
         assert groups[0] == groups[1]
 
 
+def _path_frequency(store, traj, path, neighbor_weight=1.0):
+    """Habit usage of ``path`` as the matcher computes it for ``traj``."""
+    return store.collaboration_context(traj, 300.0, 5.0, neighbor_weight).path_frequency(path)
+
+
 class TestUsageFrequency:
     def test_one_neighbor_folds_in_at_full_weight(self, chain_network):
         store = HistoryStore(chain_network)
@@ -136,9 +133,11 @@ class TestUsageFrequency:
                                    t0=1100.0, t_end=1160.0))
         store.record_match(_record(chain_network, "nb-0", "nb", path,
                                    t0=1200.0, t_end=1260.0))
-        freq = store.usage_frequency("ego", {"nb-0"}, path, 1.0, before_t=10_000.0)
+        traj = _trajectory(chain_network, "j", "ego",
+                           t0=1200.0 + DAY_SECONDS, t_end=1260.0 + DAY_SECONDS)
+        assert store.collaborative_group(traj, 300.0, 5.0) == {"nb-0"}
         # ego aggregate [2, 2] plus neighbor [1, 1] over two members and two edges
-        assert freq == pytest.approx((2 + 2 + 1 + 1) / (2 * 2))
+        assert _path_frequency(store, traj, path) == pytest.approx((2 + 2 + 1 + 1) / (2 * 2))
 
     def test_mean_usage_with_unbalanced_neighbor(self):
         # ego aggregate [2, 2] on a 2-edge path; one neighbor [4, 0] via laps
@@ -161,8 +160,11 @@ class TestUsageFrequency:
             start_lonlat=_lonlat(net, 10.0, 0.0), end_lonlat=_lonlat(net, 0.0, 100.0),
             t0=2000.0, t_end=2400.0)
         store.record_match(nb)
-        freq = store.usage_frequency("ego", {"nb-0"}, path, 1.0, before_t=10_000.0)
-        assert freq == pytest.approx(2.0)  # (2+2 + 4+0) / (2 members * 2 edges)
+        traj = _trajectory(net, "j", "ego", t0=2000.0 + DAY_SECONDS, t_end=2400.0 + DAY_SECONDS,
+                           start_xy=(10.0, 0.0), end_xy=(0.0, 100.0))
+        assert store.collaborative_group(traj, 300.0, 5.0) == {"nb-0"}
+        # (2+2 + 4+0) / (2 members * 2 edges)
+        assert _path_frequency(store, traj, path) == pytest.approx(2.0)
 
     def test_boundary_edges_counted_once_per_pass(self, chain_network):
         # consecutive segments share their boundary edge; one traversal, one count
@@ -175,7 +177,7 @@ class TestUsageFrequency:
             end_lonlat=_lonlat(chain_network, 190.0, 0.0),
             t0=0.0, t_end=60.0)
         store.record_match(rec)
-        counts = store.trip_counts("a-0")
+        counts = store.vehicle_counts("a", before_t=60.0)
         assert counts[(0, 2)] == 1
         assert counts[(0, 1)] == 1 and counts[(0, 3)] == 1 and counts[(0, 4)] == 1
 
@@ -185,27 +187,32 @@ class TestUsageFrequency:
         store.record_match(_record(chain_network, "ego-0", "ego", path))
         store.record_match(_record(chain_network, "nb-0", "nb", path,
                                    t0=1100.0, t_end=1160.0))
-        freq = store.usage_frequency("ego", {"nb-0"}, path, 0.0, before_t=10_000.0)
-        assert freq == pytest.approx(1.0)
+        traj = _trajectory(chain_network, "j", "ego",
+                           t0=1100.0 + DAY_SECONDS, t_end=1160.0 + DAY_SECONDS)
+        assert store.collaborative_group(traj, 300.0, 5.0) == {"nb-0"}
+        assert _path_frequency(store, traj, path, 0.0) == pytest.approx(1.0)
 
     def test_no_history_is_zero(self, chain_network):
         store = HistoryStore(chain_network)
-        assert store.usage_frequency("ego", set(), ((0, 1),), 1.0, before_t=1.0) == 0.0
+        traj = _trajectory(chain_network, "j", "ego")
+        assert _path_frequency(store, traj, ((0, 1),)) == 0.0
 
     def test_empty_path_rejected(self, chain_network):
         store = HistoryStore(chain_network)
+        traj = _trajectory(chain_network, "j", "ego")
         with pytest.raises(ValueError):
-            store.usage_frequency("ego", set(), (), 1.0, before_t=1.0)
+            _path_frequency(store, traj, ())
 
     def test_monotone_in_any_edge_count(self, chain_network):
         store = HistoryStore(chain_network)
         path = ((0, 1), (0, 2))
+        traj = _trajectory(chain_network, "j", "ego")
         store.record_match(_record(chain_network, "ego-0", "ego", path))
-        before = store.usage_frequency("ego", set(), path, 1.0, before_t=10_000.0)
+        before = _path_frequency(store, traj, path)
         store.record_match(_record(chain_network, "ego-1", "ego", ((0, 1),),
                                    t0=1100.0, t_end=1160.0,
                                    end_xy=(30.0, 0.0)))
-        after = store.usage_frequency("ego", set(), path, 1.0, before_t=10_000.0)
+        after = _path_frequency(store, traj, path)
         assert after >= before
 
     def test_identical_members_match_ego_only_value(self, chain_network):
@@ -216,10 +223,13 @@ class TestUsageFrequency:
         for k in range(3):
             store.record_match(_record(chain_network, f"n{k}-0", f"n{k}", path,
                                        t0=1100.0 + k, t_end=1160.0 + k))
-        ego_only = store.usage_frequency("ego", set(), path, 1.0, before_t=10_000.0)
-        group = store.usage_frequency("ego", {"n0-0", "n1-0", "n2-0"}, path, 1.0,
-                                      before_t=10_000.0)
-        assert group == pytest.approx(ego_only)
+        alone = _trajectory(chain_network, "j", "ego")
+        assert store.collaborative_group(alone, 300.0, 5.0) == set()
+        among = _trajectory(chain_network, "j", "ego",
+                            t0=1101.0 + DAY_SECONDS, t_end=1161.0 + DAY_SECONDS)
+        assert store.collaborative_group(among, 300.0, 5.0) == {"n0-0", "n1-0", "n2-0"}
+        ego_only = _path_frequency(store, alone, path)
+        assert _path_frequency(store, among, path) == pytest.approx(ego_only)
 
     def test_context_matches_direct_computation(self, chain_network):
         store = HistoryStore(chain_network)
@@ -230,8 +240,9 @@ class TestUsageFrequency:
         traj = _trajectory(chain_network, "j", "ego",
                            t0=1100.0 + DAY_SECONDS, t_end=1160.0 + DAY_SECONDS)
         ctx = store.collaboration_context(traj, 300.0, 5.0, 1.0)
-        direct = store.usage_frequency("ego", ctx.group, path, 1.0, before_t=traj.t0)
-        assert ctx.path_frequency(path) == pytest.approx(direct)
+        assert ctx.group == {"nb-0"}
+        # ego [1, 1] plus neighbor [0, 1] over two members and two edges
+        assert ctx.path_frequency(path) == pytest.approx(0.75)
 
 
 def test_time_of_day_delta():
@@ -259,7 +270,8 @@ def test_log_round_trip(tmp_path, chain_network):
     traj = _trajectory(chain_network, "a-0", "a", t0=rec.t0, t_end=rec.t_end)
     again = HistoryStore(chain_network)
     assert again.load_log(str(log_path), {"a-0": traj}) == 1
-    assert again.trip_counts("a-0") == store.trip_counts("a-0")
+    assert again.vehicle_counts("a", before_t=rec.t_end) == \
+        store.vehicle_counts("a", before_t=rec.t_end)
 
 
 def test_probe_csv_round_trip(tmp_path, chain_network):

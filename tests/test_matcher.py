@@ -87,7 +87,7 @@ def _diamond_history_record(net):
         paths=(None, top_path),
         start_lonlat=(start.lon, start.lat),
         end_lonlat=(end.lon, end.lat),
-        t0=0.0, t_end=60.0, completed_at=60.0)
+        t0=0.0, t_end=60.0)
 
 
 class TestDiamondAblation:
@@ -168,6 +168,21 @@ class TestSessionFeedback:
         assert len(session.history) == len(records)
         assert session.traffic.observed_states()
 
+    def test_jobs_do_not_change_output(self, tmp_path):
+        net = make_grid_network(5, 5, spacing=200.0)
+        fleet = generate_synthetic(net, 4, 1.0, False, 30.0, 5.0, seed=9,
+                                   trips_per_vehicle=2, min_route_duration=150.0,
+                                   trip_spacing=1200.0)
+        starts = [t.t0 for t in fleet.trajectories]
+        assert max(starts) - min(starts) >= 2 * MatcherConfig().update_interval
+        outputs = []
+        for jobs in (1, 2):
+            session = MatchSession(net, MatcherConfig())
+            path = tmp_path / f"jobs{jobs}.csv"
+            write_match_csv(str(path), session.run(fleet.trajectories, jobs=jobs))
+            outputs.append(path.read_bytes())
+        assert outputs[0] == outputs[1]
+
     def test_seeded_history_visible_to_collaboration(self, chain_network):
         session = MatchSession(chain_network, _cold_config())
         rec = MatchRecord(
@@ -177,7 +192,7 @@ class TestSessionFeedback:
                           probe_at(chain_network, 10.0, 0.0, 0.0).lat),
             end_lonlat=(probe_at(chain_network, 90.0, 0.0, 0.0).lon,
                         probe_at(chain_network, 90.0, 0.0, 0.0).lat),
-            t0=0.0, t_end=30.0, completed_at=30.0)
+            t0=0.0, t_end=30.0)
         session.seed_history([rec])
         assert len(session.history) == 1
         assert session.traffic._locations

@@ -99,7 +99,7 @@ class TestSpectralForward:
         gamma = decay_weights(3, 0.8)
         model = SpectralPredictor(u, np.ones((3, 6)), gamma)
         hist = random_states(rng, 3, 6)
-        got = model.forward(hist, project=False)
+        got = model.linear_forward(hist)
         assert got.tolist() == pytest.approx(predict_naive(hist, gamma).tolist(), abs=1e-10)
 
     def test_matches_dense_algebra_oracle(self):
@@ -113,7 +113,7 @@ class TestSpectralForward:
         dense = np.zeros(6)
         for k in range(3):
             dense += gamma[k] * (u @ np.diag(filters[k]) @ u.T) @ hist[k]
-        assert model.forward(hist, project=False).tolist() == \
+        assert model.linear_forward(hist).tolist() == \
             pytest.approx(dense.tolist(), abs=1e-10)
         # projected output equals the same guard applied to the dense result
         assert model.forward(hist).tolist() == \
@@ -129,7 +129,7 @@ class TestSpectralForward:
         manual = np.zeros(5)
         for k in range(3):
             manual += gamma[k] * (u @ np.diag(lam ** (k + 1)) @ u.T) @ hist[k]
-        assert model.forward(hist, project=False).tolist() == \
+        assert model.linear_forward(hist).tolist() == \
             pytest.approx(manual.tolist(), abs=1e-12)
 
     def test_short_history_renormalizes_decay(self):
@@ -145,12 +145,6 @@ class TestSpectralForward:
         model = SpectralPredictor.for_network(net, 2, 0.8)
         with pytest.raises(ValueError):
             model.forward([np.ones(7) / 7])
-
-    def test_literal_power_initialization_uses_raw_spectrum(self):
-        net = chain_net(4)
-        raw = net.raw_laplacian_eigenvalues()
-        model = SpectralPredictor.for_network(net, 2, 0.8, literal_powers=True)
-        assert model.filters[1].tolist() == pytest.approx((raw ** 2).tolist())
 
 
 def _planted_setup(rng, n_links=10, k_max=3, n_intervals=26):
