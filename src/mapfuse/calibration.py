@@ -24,6 +24,9 @@ from .scoring import FusionWeights
 
 log = logging.getLogger(__name__)
 
+_FIRST_STEP = 0.5  # first backtracking step of the weight fit
+_PATIENCE = 50     # epochs without validation improvement that stop the weight fit
+
 
 @dataclass(frozen=True)
 class CalibrationSample:
@@ -102,7 +105,6 @@ class WeightFit:
     rounded: FusionWeights            # one-decimal presentation weights
     bias: float
     train_history: list[float] = field(default_factory=list)
-    val_history: list[float] = field(default_factory=list)
     best_val: float = math.inf
     degenerate: bool = False
     epochs: int = 0
@@ -123,8 +125,7 @@ def _round_weights(w: np.ndarray) -> FusionWeights:
 
 
 def fit_weights(samples: Sequence[CalibrationSample], *,
-                max_epochs: int = 20000, learning_rate: float = 0.5,
-                patience: int = 50, seed: int = 0) -> WeightFit:
+                max_epochs: int = 20000, seed: int = 0) -> WeightFit:
     """Fit the judge weights to predict path accuracy from scores.
 
     Scores enter as fractions in [0, 1]. The weights are a softmax over
@@ -159,7 +160,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
     bias = 0.0
     result = WeightFit(FusionWeights.equal(), FusionWeights.equal(), 0.0)
     best = (logits.copy(), bias)
-    step = learning_rate
+    step = _FIRST_STEP
     stale = 0
 
     def loss(s, y, lg, b):
@@ -190,7 +191,6 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
             trial /= 2.0
         val_loss = loss(s_val, y_val, logits, bias)
         result.train_history.append(accepted)
-        result.val_history.append(val_loss)
         result.epochs = epoch + 1
         if val_loss < result.best_val - 1e-15:
             result.best_val = val_loss
@@ -198,7 +198,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= _PATIENCE:
                 break
         if float(d_logits @ d_logits) + d_bias * d_bias < 1e-24:
             break
@@ -245,10 +245,10 @@ def write_weights_json(path: str, fit: WeightFit) -> None:
 
 
 def read_weights_json(path: str) -> FusionWeights:
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
     try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
         return FusionWeights(float(payload["wp"]), float(payload["wc"]),
                              float(payload["wa"]), float(payload.get("bias", 0.0)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad weights file: {exc}") from exc

@@ -1,8 +1,9 @@
 """Command line driver: match, calibrate, train-predictor, evaluate, downsample, synth.
 
-All pipeline constants are flags with the deployed values as defaults. A
-JSON config file can mirror any flag (keys use underscores); explicit flags
-win. Exit codes: 0 success, 2 input-format error, 3 empty result.
+All pipeline constants are flags; their defaults (the deployed values) and
+range checks live in MatcherConfig. A JSON config file can mirror any flag
+(keys use underscores); explicit flags win. Exit codes: 0 success, 2
+input-format error, 3 empty result.
 """
 from __future__ import annotations
 
@@ -25,24 +26,33 @@ from .traffic import SpectralPredictor, read_states_csv, train_spectral, write_s
 
 log = logging.getLogger("mapfuse")
 
+_DEFAULTS = MatcherConfig()
+
+# Every setting a flag or the config file can give, with its flag help. The
+# flag is the key with dashes. Pipeline settings take their defaults and
+# range checks from MatcherConfig; only judges and jobs belong to the CLI.
 _CONFIG_KEYS = {
-    "split_length": 50.0,
-    "radius": 170.0,
-    "speed_decay": 0.1,
-    "collab_spatial": 300.0,
-    "collab_temporal": 5.0,
-    "neighbor_weight": 1.0,
-    "temporal_mode": "time-of-day",
-    "update_interval": 300.0,
-    "lookback": 3600.0,
-    "decay_ratio": 0.8,
-    "k_floor": 6,
-    "k_cap": 200,
-    "trip_gap": 900.0,
-    "predictor": "naive",
-    "judges": "kinematic,habit,traffic",
-    "jobs": 1,
+    "split_length": "edge split length, m",
+    "radius": "probe vicinity radius, m",
+    "speed_decay": "speed weight decay coefficient",
+    "collab_spatial": "collaboration spatial radius, m",
+    "collab_temporal": "collaboration temporal radius, s",
+    "neighbor_weight": "collaboration neighbor weight in [0,1]",
+    "temporal_mode": "collaboration time comparison: time-of-day or absolute",
+    "update_interval": "traffic state interval, s",
+    "lookback": "traffic lookback window, s",
+    "decay_ratio": "temporal decay ratio in [0,1]",
+    "k_floor": "minimum path budget",
+    "k_cap": "maximum path budget",
+    "trip_gap": "probe gap that splits trips, s",
+    "predictor": "traffic predictor: none, naive or spectral",
+    "judges": "comma list of kinematic,habit,traffic",
+    "jobs": "worker threads",
 }
+_RENAMED = {"radius": "vicinity_radius", "collab_spatial": "collab_spatial_radius",
+            "collab_temporal": "collab_temporal_radius"}
+_JUDGES = ("kinematic", "habit", "traffic")
+_CLI_DEFAULTS = {"judges": ",".join(_JUDGES), "jobs": 1}
 
 
 def _load_config(path: str | None) -> dict:
@@ -51,77 +61,66 @@ def _load_config(path: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             cfg = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise InputFormatError(f"{path}: expected a JSON object of settings")
     unknown = set(cfg) - set(_CONFIG_KEYS) - {"weights"}
     if unknown:
         raise InputFormatError(f"{path}: unknown config keys {sorted(unknown)}")
     return cfg
 
 
-def _resolve(args: argparse.Namespace, config: dict, key: str):
-    value = getattr(args, key, None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return _CONFIG_KEYS[key]
+def _default(key: str):
+    if key in _CLI_DEFAULTS:
+        return _CLI_DEFAULTS[key]
+    return getattr(_DEFAULTS, _RENAMED.get(key, key))
+
+
+def _add_setting_flag(p: argparse.ArgumentParser, key: str) -> None:
+    default = _default(key)
+    p.add_argument("--" + key.replace("_", "-"), type=type(default),
+                   help=f"{_CONFIG_KEYS[key]} (default {default})")
 
 
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config mirroring these flags (flags win)")
-    p.add_argument("--split-length", type=float, dest="split_length",
-                   help="edge split length, m (default 50)")
-    p.add_argument("--radius", type=float, help="probe vicinity radius, m (default 170)")
-    p.add_argument("--speed-decay", type=float, dest="speed_decay",
-                   help="speed weight decay coefficient (default 0.1)")
-    p.add_argument("--collab-spatial", type=float, dest="collab_spatial",
-                   help="collaboration spatial radius, m (default 300)")
-    p.add_argument("--collab-temporal", type=float, dest="collab_temporal",
-                   help="collaboration temporal radius, s (default 5)")
-    p.add_argument("--neighbor-weight", type=float, dest="neighbor_weight",
-                   help="collaboration neighbor weight in [0,1] (default 1)")
-    p.add_argument("--temporal-mode", choices=["time-of-day", "absolute"],
-                   dest="temporal_mode", help="collaboration time comparison")
-    p.add_argument("--update-interval", type=float, dest="update_interval",
-                   help="traffic state interval, s (default 300)")
-    p.add_argument("--lookback", type=float, help="traffic lookback window, s (default 3600)")
-    p.add_argument("--decay-ratio", type=float, dest="decay_ratio",
-                   help="temporal decay ratio (default 0.8)")
-    p.add_argument("--k-floor", type=int, dest="k_floor", help="minimum path budget (default 6)")
-    p.add_argument("--k-cap", type=int, dest="k_cap", help="maximum path budget (default 200)")
-    p.add_argument("--trip-gap", type=float, dest="trip_gap",
-                   help="probe gap that splits trips, s (default 900)")
+    for key in _CONFIG_KEYS:
+        if key != "jobs":
+            _add_setting_flag(p, key)
 
 
-def _build_matcher_config(args, config: dict, weights: FusionWeights) -> MatcherConfig:
-    judges = str(_resolve(args, config, "judges")).split(",")
-    judges = {j.strip() for j in judges if j.strip()}
-    known = {"kinematic", "habit", "traffic"}
-    if not judges <= known:
-        raise InputFormatError(f"unknown judges {sorted(judges - known)}")
+def _user_settings(args, config: dict) -> dict:
+    """The settings the user gave: each flag if set, else its config key."""
+    settings = {key: value for key, value in config.items() if key != "weights"}
+    for key in _CONFIG_KEYS:
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = value
+    return settings
+
+
+def _cast(settings: dict, key: str):
+    """A setting cast to the type of its default; the default if not given."""
+    default = _default(key)
     try:
-        return MatcherConfig(
-            split_length=float(_resolve(args, config, "split_length")),
-            vicinity_radius=float(_resolve(args, config, "radius")),
-            speed_decay=float(_resolve(args, config, "speed_decay")),
-            collab_spatial_radius=float(_resolve(args, config, "collab_spatial")),
-            collab_temporal_radius=float(_resolve(args, config, "collab_temporal")),
-            neighbor_weight=float(_resolve(args, config, "neighbor_weight")),
-            temporal_mode=str(_resolve(args, config, "temporal_mode")),
-            update_interval=float(_resolve(args, config, "update_interval")),
-            lookback=float(_resolve(args, config, "lookback")),
-            decay_ratio=float(_resolve(args, config, "decay_ratio")),
-            weights=weights,
-            predictor=str(_resolve(args, config, "predictor")),
-            use_kinematic="kinematic" in judges,
-            use_habit="habit" in judges,
-            use_traffic="traffic" in judges,
-            k_floor=int(_resolve(args, config, "k_floor")),
-            k_cap=int(_resolve(args, config, "k_cap")),
-            trip_gap=float(_resolve(args, config, "trip_gap")),
-        )
-    except (TypeError, ValueError) as exc:
+        return type(default)(settings.get(key, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InputFormatError(f"pipeline setting {key}: {exc}") from exc
+
+
+def _build_matcher_config(args, config: dict | None = None, **fixed) -> MatcherConfig:
+    """MatcherConfig from the settings the user gave; a bad value exits 2 and names it."""
+    settings = _user_settings(args, config or {})
+    kwargs = {_RENAMED.get(key, key): _cast(settings, key)
+              for key in settings if key not in _CLI_DEFAULTS}
+    judges = {j.strip() for j in _cast(settings, "judges").split(",") if j.strip()}
+    if not judges <= set(_JUDGES):
+        raise InputFormatError(f"unknown judges {sorted(judges - set(_JUDGES))}")
+    kwargs.update((f"use_{j}", j in judges) for j in _JUDGES)
+    try:
+        return MatcherConfig(**kwargs, **fixed)
+    except ValueError as exc:
         raise InputFormatError(f"pipeline setting: {exc}") from exc
 
 
@@ -174,7 +173,8 @@ def _record_geojson(network, record) -> dict:
 def _cmd_match(args) -> int:
     config = _load_config(args.config)
     weights = _resolve_weights(args, config)
-    mcfg = _build_matcher_config(args, config, weights)
+    mcfg = _build_matcher_config(args, config, weights=weights)
+    jobs = _cast(_user_settings(args, config), "jobs")
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     trajectories = _load_trajectories(args.probes, mcfg.trip_gap)
     if not trajectories:
@@ -197,7 +197,7 @@ def _cmd_match(args) -> int:
     if args.debug_dir:
         session.debug_dir = args.debug_dir
     t_start = time.perf_counter()
-    records = session.run(trajectories, jobs=int(_resolve(args, config, "jobs")))
+    records = session.run(trajectories, jobs=jobs)
     elapsed = time.perf_counter() - t_start
     write_match_csv(args.out, records)
 
@@ -229,7 +229,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_synth(args) -> int:
     network = make_grid_network(args.grid_cols, args.grid_rows, args.spacing,
-                                split_length=args.split_length or 50.0)
+                                split_length=_build_matcher_config(args).split_length)
     if args.speed_min > args.speed_max:
         raise InputFormatError("--speed-min must not exceed --speed-max")
     fleet = generate_synthetic(
@@ -252,7 +252,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_downsample(args) -> int:
-    trajectories = _load_trajectories(args.probes, args.trip_gap or 900.0)
+    trajectories = _load_trajectories(args.probes, _build_matcher_config(args).trip_gap)
     if not trajectories:
         raise EmptyResultError("no trajectories to downsample")
     from .history import write_probes_csv
@@ -287,15 +287,14 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_predictor(args) -> int:
-    network = load_network_csv(args.nodes, args.links, args.split_length or 50.0)
+    mcfg = _build_matcher_config(args)
+    network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     states = read_states_csv(args.states, network)
     if len(states) < 3:
         raise EmptyResultError("not enough state intervals to train on")
-    model = SpectralPredictor.for_network(network, args.max_steps, args.decay_ratio)
     try:
-        result = train_spectral(model, [s.values for s in states],
-                                max_epochs=args.epochs, learning_rate=args.lr,
-                                batch_size=args.batch_size, seed=args.seed)
+        model = SpectralPredictor.for_network(network, args.max_steps, mcfg.decay_ratio)
+        result = train_spectral(model, [s.values for s in states], max_epochs=args.epochs)
     except ValueError as exc:
         raise InputFormatError(str(exc)) from exc
     model.save(args.out)
@@ -307,8 +306,10 @@ def _cmd_train_predictor(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     config = _load_config(args.config)
-    weights = FusionWeights.equal()  # sampling runs with uninformed weights
-    mcfg = _build_matcher_config(args, config, weights)
+    # sampling runs with uninformed weights
+    mcfg = _build_matcher_config(args, config, weights=FusionWeights.equal())
+    if mcfg.predictor == "spectral":
+        raise InputFormatError("calibrate takes no checkpoint; use predictor 'naive' or 'none'")
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     trajectories = _load_trajectories(args.probes, mcfg.trip_gap)
     if not trajectories:
@@ -381,9 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--weights-file", dest="weights_file")
     p.add_argument("--equal-weights", dest="equal_weights", action="store_true")
-    p.add_argument("--predictor", choices=["none", "naive", "spectral"])
     p.add_argument("--model", help="spectral predictor checkpoint (for --predictor spectral)")
-    p.add_argument("--judges", help="comma list of kinematic,habit,traffic")
     p.add_argument("--history-log", dest="history_log")
     p.add_argument("--history-probes", dest="history_probes")
     p.add_argument("--history-log-out", dest="history_log_out")
@@ -392,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geojson-dir", dest="geojson_dir")
     p.add_argument("--debug-dir", dest="debug_dir",
                    help="dump per-segment subgraph and candidate paths as GeoJSON")
-    p.add_argument("--jobs", type=int)
+    _add_setting_flag(p, "jobs")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_match)
 
@@ -404,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid-cols", type=int, default=8)
     p.add_argument("--grid-rows", type=int, default=8)
     p.add_argument("--spacing", type=float, default=200.0)
-    p.add_argument("--split-length", type=float, dest="split_length")
+    _add_setting_flag(p, "split_length")
     p.add_argument("--vehicles", type=int, default=50)
     p.add_argument("--trips", type=int, default=2)
     p.add_argument("--habit", type=float, default=0.7)
@@ -421,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--probes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--interval", type=float, required=True)
-    p.add_argument("--trip-gap", type=float, dest="trip_gap")
+    _add_setting_flag(p, "trip_gap")
     p.set_defaults(func=_cmd_downsample)
 
     p = sub.add_parser("evaluate", help="score predictions against truth")
@@ -436,13 +435,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--links", required=True)
     p.add_argument("--states", required=True, help="state log CSV from match --states-out")
     p.add_argument("--out", required=True)
-    p.add_argument("--split-length", type=float, dest="split_length")
-    p.add_argument("--max-steps", type=int, dest="max_steps", default=12)
-    p.add_argument("--decay-ratio", type=float, dest="decay_ratio", default=0.8)
+    _add_setting_flag(p, "split_length")
+    p.add_argument("--max-steps", type=int, default=_DEFAULTS.traffic_config().max_steps,
+                   help="lookback steps (default %(default)s)")
+    _add_setting_flag(p, "decay_ratio")
     p.add_argument("--epochs", type=int, default=2000)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--batch-size", type=int, dest="batch_size")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_train_predictor)
 
     p = sub.add_parser("calibrate", help="fit fusion weights from high-frequency anchors")
@@ -452,8 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="weights JSON")
     p.add_argument("--samples-out", dest="samples_out")
     p.add_argument("--intervals", default="30,60,120,180,240,300")
-    p.add_argument("--predictor", choices=["none", "naive", "spectral"])
-    p.add_argument("--judges")
     p.add_argument("--epochs", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     _add_pipeline_flags(p)

@@ -51,14 +51,26 @@ class MatcherConfig:
     trip_gap: float = 900.0
 
     def __post_init__(self):
-        for name in ("vicinity_radius", "speed_decay", "update_interval"):
+        for name in ("split_length", "vicinity_radius", "speed_decay", "update_interval",
+                     "trip_gap"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0):
                 raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not 0.0 <= self.neighbor_weight <= 1.0:
-            raise ValueError(f"neighbor_weight must be in [0, 1], got {self.neighbor_weight}")
+        for name in ("collab_spatial_radius", "collab_temporal_radius", "lookback"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and not negative, got {value}")
+        # a decay ratio above 1 weights older intervals more, and its powers overflow
+        for name in ("neighbor_weight", "decay_ratio"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
         if self.k_floor < 1:
             raise ValueError(f"k_floor must be at least 1, got {self.k_floor}")
+        if self.k_cap < self.k_floor:
+            raise ValueError(f"k_cap must be at least k_floor ({self.k_floor}), got {self.k_cap}")
+        if not (self.use_kinematic or self.use_habit or self.use_traffic):
+            raise ValueError("at least one judge must stay active")
         if self.predictor not in ("none", "naive", "spectral"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.temporal_mode not in ("time-of-day", "absolute"):

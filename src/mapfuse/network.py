@@ -92,6 +92,7 @@ class SpatialGrid:
             raise ValueError("cell size must be positive")
         self.cell_size = cell_size
         self._cells: dict[tuple[int, int], list[EdgeKey]] = {}
+        self._extent = (0, 0, -1, -1)  # cell range holding every occupied cell
 
     def _cell_range(self, xmin, ymin, xmax, ymax):
         c = self.cell_size
@@ -101,12 +102,18 @@ class SpatialGrid:
     def insert(self, edge: Edge) -> None:
         i0, j0, i1, j1 = self._cell_range(min(edge.x0, edge.x1), min(edge.y0, edge.y1),
                                           max(edge.x0, edge.x1), max(edge.y0, edge.y1))
+        a0, b0, a1, b1 = self._extent
+        if i0 < a0 or j0 < b0 or i1 > a1 or j1 > b1:
+            self._extent = (min(i0, a0), min(j0, b0), max(i1, a1), max(j1, b1))
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
                 self._cells.setdefault((i, j), []).append(edge.key)
 
     def query_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[EdgeKey]:
+        # clip to the occupied cells, so a huge box costs no more than the grid
         i0, j0, i1, j1 = self._cell_range(xmin, ymin, xmax, ymax)
+        a0, b0, a1, b1 = self._extent
+        i0, j0, i1, j1 = max(i0, a0), max(j0, b0), min(i1, a1), min(j1, b1)
         seen: dict[EdgeKey, None] = {}
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
@@ -248,8 +255,8 @@ def load_network(nodes_table: Sequence[tuple], links_table: Sequence[tuple],
     with None for absent optionals. Explicit length and bearing win over
     geometry when provided.
     """
-    if split_length <= 0:
-        raise InputFormatError("split length must be positive")
+    if not (math.isfinite(split_length) and split_length > 0):
+        raise InputFormatError(f"split length must be finite and positive, got {split_length}")
     raw_nodes: dict[int, tuple[float, float]] = {}
     for row in nodes_table:
         nid, lon, lat = int(row[0]), float(row[1]), float(row[2])
@@ -315,7 +322,7 @@ def load_network(nodes_table: Sequence[tuple], links_table: Sequence[tuple],
     return RoadNetwork(nodes, links, projector, split_length)
 
 
-def _read_csv(path: str, required: Sequence[str], optional: Sequence[str] = ()) -> list[dict]:
+def _read_csv(path: str, required: Sequence[str]) -> Iterator[dict]:
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -324,7 +331,7 @@ def _read_csv(path: str, required: Sequence[str], optional: Sequence[str] = ()) 
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise InputFormatError(f"{path}: missing columns {missing}")
-            return list(reader)
+            yield from reader
     except (OSError, UnicodeDecodeError) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
 

@@ -44,6 +44,8 @@ class FusionWeights:
 
     def __post_init__(self):
         w = (self.kinematic, self.habit, self.traffic)
+        if not all(math.isfinite(v) for v in (*w, self.bias)):
+            raise ValueError("weights and bias must be finite")
         if any(v < -1e-12 for v in w):
             raise ValueError("weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-9:

@@ -4,7 +4,7 @@ Per interval the matcher's results are folded into a simplex vector of link
 shares (with an add-one prior so every share stays positive). The next
 interval is predicted either by a decay-weighted mean of recent states or by
 a spectral filter model on the link graph's Laplacian eigenbasis, trained by
-gradient descent on mean squared error.
+full-batch gradient descent on mean squared error.
 """
 from __future__ import annotations
 
@@ -16,9 +16,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import RoadNetwork
+from .network import InputFormatError, RoadNetwork, _read_csv
 
 _LOSS_TOL = 1e-12  # line-search descent tolerance
+_PATIENCE = 4      # epochs without validation improvement that make a plateau
+_PLATEAUS = 3      # training stops at this many plateaus
 
 
 @dataclass(frozen=True)
@@ -137,10 +139,10 @@ class SpectralPredictor:
         Initial filters are powers of the spectrum rescaled to [0, 1], so the
         powers stay bounded on any graph.
         """
+        decay = decay_weights(max_steps, decay_ratio)
         u, lam = network.laplacian_spectrum()
         filters = np.stack([lam ** k for k in range(1, max_steps + 1)])
-        return cls(u, filters, decay_weights(max_steps, decay_ratio),
-                   _network_fingerprint(network))
+        return cls(u, filters, decay, _network_fingerprint(network))
 
     def _window(self, history: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
         if len(history) == 0:
@@ -169,29 +171,25 @@ class SpectralPredictor:
 
     # -- training ----------------------------------------------------------
 
-    def _batch_forward(self, windows: np.ndarray) -> np.ndarray:
+    def _residual(self, windows: np.ndarray,
+                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Spectral coordinates of the windows and the prediction residuals."""
         # windows: (S, k, L), most recent first along axis 1
         z = np.einsum("skl,lm->skm", windows, self.basis)
         mixed = np.einsum("skm,km->sm", z, self.decay[:, None] * self.filters)
-        return mixed @ self.basis.T
+        return z, mixed @ self.basis.T - targets
 
     def loss(self, windows: np.ndarray, targets: np.ndarray) -> float:
-        pred = self._batch_forward(windows)
-        resid = pred - targets
-        return float((resid * resid).sum() / (resid.shape[0] * self.n_links))
+        resid = self._residual(windows, targets)[1]
+        return float((resid * resid).sum() / resid.size)
 
     def loss_and_gradient(self, windows: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean squared error and its gradient w.r.t. every filter entry."""
-        s = windows.shape[0]
-        z = np.einsum("skl,lm->skm", windows, self.basis)
-        mixed = np.einsum("skm,km->sm", z, self.decay[:, None] * self.filters)
-        resid = mixed @ self.basis.T - targets
-        loss = float((resid * resid).sum() / (s * self.n_links))
-        resid_basis = resid @ self.basis
-        grad = (2.0 / (s * self.n_links)) * self.decay[:, None] * \
-            np.einsum("sm,skm->km", resid_basis, z)
-        return loss, grad
+        z, resid = self._residual(windows, targets)
+        grad = (2.0 / resid.size) * self.decay[:, None] * \
+            np.einsum("sm,skm->km", resid @ self.basis, z)
+        return float((resid * resid).sum() / resid.size), grad
 
     # -- persistence ---------------------------------------------------------
 
@@ -209,17 +207,25 @@ class SpectralPredictor:
 
     @classmethod
     def load(cls, path: str, network: RoadNetwork) -> "SpectralPredictor":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if payload.get("format") != 1:
-            raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
-        if payload["n_links"] != network.n_links():
-            raise ValueError("checkpoint does not match the network size")
-        fingerprint = _network_fingerprint(network)
-        if payload.get("fingerprint") and payload["fingerprint"] != fingerprint:
-            raise ValueError("checkpoint was trained on a different network")
-        u, _ = network.laplacian_spectrum()
-        return cls(u, np.array(payload["filters"]), np.array(payload["decay"]), fingerprint)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                payload = json.load(fh)
+            if not isinstance(payload, dict):
+                raise ValueError("checkpoint is not a JSON object")
+            if payload.get("format") != 1:
+                raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
+            if payload["n_links"] != network.n_links():
+                raise ValueError("checkpoint does not match the network size")
+            fingerprint = _network_fingerprint(network)
+            if payload.get("fingerprint") and payload["fingerprint"] != fingerprint:
+                raise ValueError("checkpoint was trained on a different network")
+            filters = np.array(payload["filters"], dtype=float)
+            decay = np.array(payload["decay"], dtype=float)
+            if not (np.isfinite(filters).all() and np.isfinite(decay).all()):
+                raise ValueError("non-finite filter or decay values")
+            return cls(network.laplacian_spectrum()[0], filters, decay, fingerprint)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"{path}: {exc}") from exc
 
 
 def build_windows(states: Sequence[np.ndarray], max_steps: int) -> tuple[np.ndarray, np.ndarray]:
@@ -242,9 +248,7 @@ def build_windows(states: Sequence[np.ndarray], max_steps: int) -> tuple[np.ndar
 
 @dataclass
 class TrainResult:
-    model: SpectralPredictor
     train_history: list[float] = field(default_factory=list)
-    val_history: list[float] = field(default_factory=list)
     best_val: float = math.inf
     test_mse: float | None = None
     epochs: int = 0
@@ -262,46 +266,33 @@ def _split_sizes(n: int, ratios=(0.6, 0.2, 0.2)) -> tuple[int, int, int]:
 
 
 def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
-                   max_epochs: int = 2000, learning_rate: float = 1e-3,
-                   lr_floor: float = 1e-5, patience: int = 4,
-                   batch_size: int | None = None, seed: int = 0) -> TrainResult:
+                   max_epochs: int = 2000) -> TrainResult:
     """Fit the spectral filters on consecutive states by gradient descent.
 
-    Full-batch mode (default) picks the step along the negative gradient by
+    Each epoch is one full-batch step along the negative gradient, sized by
     an exact line search: the output is linear in the filters, so the loss
     along a ray is a parabola and the minimizing step is closed form. A
-    halving backstop keeps the training loss non-increasing. The learning
-    rate schedule drops tenfold after ``patience`` epochs without validation
-    improvement and stops at the floor; mini-batch mode uses it as the raw
-    step size. The best-validation filters are restored at the end.
+    halving backstop keeps the training loss non-increasing. Training stops
+    at ``max_epochs`` or at the ``_PLATEAUS``-th run of ``_PATIENCE`` epochs
+    without validation improvement, and the best-validation filters are
+    restored at the end.
     """
     windows, targets = build_windows(states, model.max_steps)
-    n = windows.shape[0]
-    n_train, n_val, n_test = _split_sizes(n)
+    n_train, n_val, n_test = _split_sizes(windows.shape[0])
     w_train, y_train = windows[:n_train], targets[:n_train]
     w_val, y_val = windows[n_train:n_train + n_val], targets[n_train:n_train + n_val]
     w_test, y_test = windows[n_train + n_val:], targets[n_train + n_val:]
 
-    result = TrainResult(model)
+    result = TrainResult()
     best_filters = model.filters.copy()
-    lr = learning_rate
     stale = 0
+    plateaus = 0
     step_scale = 1.0
-    rng = np.random.default_rng(seed)
 
     for epoch in range(max_epochs):
-        if batch_size is None:
-            train_loss, step_scale = _full_batch_epoch(model, w_train, y_train, step_scale)
-        else:
-            order = rng.permutation(n_train)
-            for lo in range(0, n_train, batch_size):
-                idx = order[lo:lo + batch_size]
-                _, grad = model.loss_and_gradient(w_train[idx], y_train[idx])
-                model.filters -= lr * grad
-            train_loss = model.loss(w_train, y_train)
+        train_loss, step_scale = _full_batch_epoch(model, w_train, y_train, step_scale)
         val_loss = model.loss(w_val, y_val)
         result.train_history.append(train_loss)
-        result.val_history.append(val_loss)
         result.epochs = epoch + 1
         if val_loss < result.best_val:
             result.best_val = val_loss
@@ -309,11 +300,11 @@ def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
             stale = 0
         else:
             stale += 1
-            if stale >= patience:
+            if stale >= _PATIENCE:
                 stale = 0
-                if lr <= lr_floor * (1 + 1e-9):
+                plateaus += 1
+                if plateaus >= _PLATEAUS:
                     break
-                lr = max(lr / 10.0, lr_floor)
 
     model.filters = best_filters
     if n_test > 0:
@@ -364,22 +355,14 @@ def write_states_csv(path: str, network: RoadNetwork, states: Sequence[StateVect
 
 
 def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
-    import csv as _csv
-
-    from .network import InputFormatError
     rows: dict[int, np.ndarray] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                any(c not in reader.fieldnames for c in ("interval_j", "link_id", "X")):
-            raise InputFormatError(f"{path}: expected columns interval_j,link_id,X")
-        for rec in reader:
-            try:
-                j = int(rec["interval_j"])
-                lid = int(rec["link_id"])
-                x = float(rec["X"])
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}: bad row {rec}") from exc
-            vec = rows.setdefault(j, np.zeros(network.n_links()))
-            vec[network.link_row(lid)] = x
+    for rec in _read_csv(path, ("interval_j", "link_id", "X")):
+        try:  # an unknown link id is a KeyError
+            j, x = int(rec["interval_j"]), float(rec["X"])
+            row = network.link_row(int(rec["link_id"]))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise InputFormatError(f"{path}: bad row {rec}") from exc
+        if not math.isfinite(x):
+            raise InputFormatError(f"{path}: non-finite X in row {rec}")
+        rows.setdefault(j, np.zeros(network.n_links()))[row] = x
     return [StateVector(j, rows[j]) for j in sorted(rows)]

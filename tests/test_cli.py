@@ -1,8 +1,16 @@
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mapfuse.cli import main
+from mapfuse.cli import _CLI_DEFAULTS, _CONFIG_KEYS, _RENAMED, _default, main
+from mapfuse.matcher import MatcherConfig
+from mapfuse.network import load_network_csv
+from mapfuse.synth import make_grid_network
+from mapfuse.traffic import SpectralPredictor
 
 
 @pytest.fixture()
@@ -24,14 +32,29 @@ def _synth(workdir, *extra, noise="0", vehicles="4", interval="15", habit="0.7",
     assert main(args) == 0
 
 
-def _match(workdir, out_name="matches.csv", *extra):
-    args = ["match",
+def _match_argv(workdir, out, *extra):
+    return ["match",
             "--nodes", str(workdir / "nodes.csv"),
             "--links", str(workdir / "links.csv"),
             "--probes", str(workdir / "probes.csv"),
-            "--out", str(workdir / out_name),
+            "--out", str(out),
             *extra]
-    assert main(args) == 0
+
+
+def _match(workdir, out_name="matches.csv", *extra):
+    assert main(_match_argv(workdir, workdir / out_name, *extra)) == 0
+
+
+@pytest.fixture(scope="module")
+def fleet(tmp_path_factory):
+    """A tiny fleet with its state log, for tests that only read them."""
+    d = tmp_path_factory.mktemp("fleet")
+    assert main(["synth", "--out", str(d / "probes.csv"),
+                 "--nodes-out", str(d / "nodes.csv"), "--links-out", str(d / "links.csv"),
+                 "--grid-cols", "4", "--grid-rows", "4", "--vehicles", "3",
+                 "--interval", "60", "--seed", "3"]) == 0
+    _match(d, "matches.csv", "--states-out", str(d / "states.csv"))
+    return d
 
 
 class TestEndToEnd:
@@ -128,6 +151,18 @@ class TestExitCodes:
         ([], {"temporal_mode": "foo"}, "temporal_mode"),
         (["--neighbor-weight", "-1", "--collab-spatial", "100000",
           "--collab-temporal", "100000"], {}, "neighbor_weight"),
+        (["--decay-ratio", "-1"], {}, "decay_ratio"),
+        ([], {"decay_ratio": 1e200}, "decay_ratio"),
+        (["--lookback", "nan"], {}, "lookback"),
+        (["--split-length", "nan"], {}, "split_length"),
+        (["--collab-spatial", "nan"], {}, "collab_spatial"),
+        (["--collab-temporal", "-5"], {}, "collab_temporal"),
+        (["--trip-gap", "nan"], {}, "trip_gap"),
+        (["--k-cap", "2"], {}, "k_cap"),
+        (["--judges", ","], {}, "judge"),
+        ([], {"jobs": "x"}, "jobs"),
+        ([], {"k_floor": float("inf")}, "k_floor"),
+        ([], {"radius": None}, "radius"),
     ])
     def test_out_of_range_setting_is_2(self, workdir, capsys, flags, config, name):
         _synth(workdir)
@@ -139,6 +174,17 @@ class TestExitCodes:
                      "--config", str(workdir / "cfg.json"), *flags])
         assert code == 2
         assert name in capsys.readouterr().err
+
+    def test_config_not_an_object_is_2(self, workdir, capsys):
+        _synth(workdir)
+        (workdir / "cfg.json").write_text("5")
+        code = main(["match", "--nodes", str(workdir / "nodes.csv"),
+                     "--links", str(workdir / "links.csv"),
+                     "--probes", str(workdir / "probes.csv"),
+                     "--out", str(workdir / "out.csv"),
+                     "--config", str(workdir / "cfg.json")])
+        assert code == 2
+        assert "cfg.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", ["duplicate_row", "nan_bearing"])
     def test_malformed_probe_row_is_2(self, workdir, capsys, corrupt):
@@ -155,6 +201,72 @@ class TestExitCodes:
                      "--out", str(workdir / "out.csv")])
         assert code == 2
         assert "bad.csv" in capsys.readouterr().err
+
+
+class TestBadFiles:
+    @pytest.mark.parametrize("case", ["missing_model", "truncated_model", "model_of_other_grid",
+                                      "missing_weights"])
+    def test_bad_model_or_weights_file_is_2(self, fleet, tmp_path, capsys, case):
+        path = tmp_path / "bad.json"
+        if case == "truncated_model":
+            net = load_network_csv(str(fleet / "nodes.csv"), str(fleet / "links.csv"), 50.0)
+            SpectralPredictor.for_network(net, 2).save(str(path))
+            path.write_text(path.read_text()[:100])
+        elif case == "model_of_other_grid":
+            SpectralPredictor.for_network(make_grid_network(3, 3, 200.0), 2).save(str(path))
+        flags = (["--weights-file", str(path)] if case == "missing_weights"
+                 else ["--predictor", "spectral", "--model", str(path)])
+        code = main(_match_argv(fleet, tmp_path / "out.csv", *flags))
+        assert code == 2
+        assert "bad.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["unknown_link", "nan_share"])
+    def test_bad_states_row_is_2(self, fleet, tmp_path, capsys, case):
+        lines = (fleet / "states.csv").read_text().splitlines()
+        if case == "unknown_link":
+            lines.append("1,99999,0.5")
+        else:
+            lines[1] = lines[1].rsplit(",", 1)[0] + ",nan"
+        (tmp_path / "bad.csv").write_text("\n".join(lines) + "\n")
+        code = main(["train-predictor", "--nodes", str(fleet / "nodes.csv"),
+                     "--links", str(fleet / "links.csv"), "--states", str(tmp_path / "bad.csv"),
+                     "--out", str(tmp_path / "model.json"), "--max-steps", "2"])
+        assert code == 2
+        assert "bad.csv" in capsys.readouterr().err
+
+
+def test_every_pipeline_key_names_a_config_field():
+    fields = {f.name for f in dataclasses.fields(MatcherConfig)}
+    for key in set(_CONFIG_KEYS) - set(_CLI_DEFAULTS):
+        assert _RENAMED.get(key, key) in fields, key
+
+
+# flag text -> the same value in a JSON config file; "default" is each setting's default
+_FUZZ_VALUES = {"0": 0, "-1": -1, "nan": math.nan, "inf": math.inf, "1e12": 1e12,
+                "abc": "abc", "default": None}
+
+
+@settings(max_examples=40, deadline=None)
+@given(picks=st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)),
+                             st.sampled_from(sorted(_FUZZ_VALUES)), min_size=1, max_size=3),
+       as_flags=st.booleans())
+def test_fuzzed_settings_exit_cleanly(fleet, picks, as_flags):
+    # any mix of settings ends in a result or a clean input/empty error, never a traceback
+    values = {key: _default(key) if text == "default" else _FUZZ_VALUES[text]
+              for key, text in picks.items()}
+    extra = []
+    if as_flags:
+        for key, value in values.items():
+            text = picks[key] if picks[key] != "default" else str(value)
+            extra += ["--" + key.replace("_", "-"), text]
+    else:
+        (fleet / "fuzz.json").write_text(json.dumps(values))
+        extra = ["--config", str(fleet / "fuzz.json")]
+    try:
+        code = main(_match_argv(fleet, fleet / "fuzz.csv", *extra))
+    except SystemExit as exc:  # argparse rejects a value its type cannot parse
+        code = exc.code
+    assert code in (0, 2, 3)
 
 
 class TestConfigFile:
@@ -198,6 +310,14 @@ class TestPredictorTraining:
                      "--out", str(workdir / "out.csv"),
                      "--predictor", "spectral"])
         assert code == 2
+
+
+def test_calibrate_with_spectral_predictor_is_2(fleet, tmp_path):
+    # calibrate has no --model, so a spectral predictor cannot be built
+    code = main(["calibrate", "--nodes", str(fleet / "nodes.csv"),
+                 "--links", str(fleet / "links.csv"), "--probes", str(fleet / "probes.csv"),
+                 "--out", str(tmp_path / "weights.json"), "--predictor", "spectral"])
+    assert code == 2
 
 
 def test_calibrate_interval_grid_default():

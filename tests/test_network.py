@@ -134,6 +134,19 @@ def test_spatial_index_returns_superset_of_true_hits():
                 assert edge.key in got
 
 
+def test_huge_query_costs_no_more_than_the_grid():
+    # a query box far larger than the network walks only the occupied cells,
+    # and returns what a box just covering the network returns
+    net = _random_network(seed=5, n_nodes=12, n_links=25)
+    xs = [v for e in net.iter_edges() for v in (e.x0, e.x1)]
+    ys = [v for e in net.iter_edges() for v in (e.y0, e.y1)]
+    cover = net.edges_in_bbox(min(xs), min(ys), max(xs), max(ys))
+    assert {e.key for e in cover} == {e.key for e in net.iter_edges()}
+    huge = net.edges_near(0.0, 0.0, 1e9)
+    assert [e.key for e in huge] == [e.key for e in cover]
+    assert net.edges_near(1e9, 1e9, 10.0) == []
+
+
 def test_csv_round_trip(tmp_path):
     net = build_network([(0, 0.0, 0.0), (1, 130.0, 0.0), (2, 130.0, 260.0)],
                         [(0, 0, 1, None, None), (1, 1, 2, None, None)])

@@ -209,14 +209,6 @@ class TestSpectralTraining:
         history = result.train_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
-    def test_minibatch_mode_trains(self):
-        rng = np.random.default_rng(10)
-        net, states, _ = _planted_setup(rng, n_links=8, n_intervals=30)
-        model = SpectralPredictor.for_network(net, 3, 0.8)
-        start = model.loss(*build_windows(states, 3))
-        result = train_spectral(model, states, max_epochs=300, batch_size=4, seed=1)
-        assert result.best_val < start
-
     def test_insufficient_data_rejected(self):
         net = chain_net(4)
         model = SpectralPredictor.for_network(net, 3, 0.8)
