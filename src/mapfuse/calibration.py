@@ -8,7 +8,6 @@ through a softmax parameterization.
 """
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .history import Trajectory
-from .network import EdgeKey, InputFormatError, RoadNetwork
+from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
 from .path_search import CandidatePath, SubGraph, candidates_for_probe, k_shortest_paths
 from .scoring import FusionWeights
 
@@ -78,6 +77,8 @@ def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
     interval; probes at multiples of it from the start time are retained
     untouched.
     """
+    if not (math.isfinite(keep_interval) and keep_interval > 0):
+        raise ValueError(f"keep interval must be finite and positive, got {keep_interval}")
     source = trajectory.probing_interval
     if source <= 0:
         raise ValueError("trajectory has no probing interval")
@@ -135,6 +136,8 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
     is full-batch gradient descent with a backtracking step and early stop
     on a 6:2:2 validation split.
     """
+    if max_epochs < 1:
+        raise ValueError(f"need at least one epoch, got {max_epochs}")
     if len(samples) < 30:
         raise ValueError(f"need at least 30 samples, got {len(samples)}")
     scores = np.array([[s.kinematic, s.habit, s.traffic] for s in samples], dtype=float)
@@ -214,28 +217,14 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
 # -- file formats -----------------------------------------------------------
 
 def write_samples_csv(path: str, samples: Sequence[CalibrationSample]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["S_P", "S_C", "S_A", "Y"])
-        for s in samples:
-            writer.writerow([f"{s.kinematic:.9f}", f"{s.habit:.9f}",
-                             f"{s.traffic:.9f}", f"{s.accuracy:.9f}"])
+    _write_csv(path, ("S_P", "S_C", "S_A", "Y"),
+               ([f"{s.kinematic:.9f}", f"{s.habit:.9f}", f"{s.traffic:.9f}", f"{s.accuracy:.9f}"]
+                for s in samples))
 
 
 def read_samples_csv(path: str) -> list[CalibrationSample]:
-    out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                any(c not in reader.fieldnames for c in ("S_P", "S_C", "S_A", "Y")):
-            raise InputFormatError(f"{path}: expected columns S_P,S_C,S_A,Y")
-        for rec in reader:
-            try:
-                out.append(CalibrationSample(float(rec["S_P"]), float(rec["S_C"]),
-                                             float(rec["S_A"]), float(rec["Y"])))
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}: bad row {rec}") from exc
-    return out
+    return list(_read_csv(path, ("S_P", "S_C", "S_A", "Y"), lambda rec: CalibrationSample(
+        float(rec["S_P"]), float(rec["S_C"]), float(rec["S_A"]), float(rec["Y"]))))
 
 
 def write_weights_json(path: str, fit: WeightFit) -> None:

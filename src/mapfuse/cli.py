@@ -8,6 +8,7 @@ input-format error, 3 empty result.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
 import os
@@ -17,9 +18,10 @@ from typing import Sequence
 
 from . import calibration as cal
 from .evaluate import EmptyResultError, cost_index, evaluate_rows
-from .history import HistoryStore, Trajectory, load_probes_csv, split_trips
+from .history import HistoryStore, Trajectory, load_probes_csv, split_trips, write_probes_csv
 from .matcher import MatcherConfig, MatchSession, read_match_csv, write_match_csv
 from .network import InputFormatError, load_network_csv, save_network_csv
+from .path_search import line_feature
 from .scoring import FusionWeights
 from .synth import generate_synthetic, make_grid_network
 from .traffic import SpectralPredictor, read_states_csv, train_spectral, write_states_csv
@@ -100,6 +102,15 @@ def _user_settings(args, config: dict) -> dict:
     return settings
 
 
+@contextlib.contextmanager
+def _input_errors(prefix: str = ""):
+    """A ValueError from a library check on what the user gave exits 2."""
+    try:
+        yield
+    except ValueError as exc:
+        raise InputFormatError(f"{prefix}{exc}") from exc
+
+
 def _cast(settings: dict, key: str):
     """A setting cast to the type of its default; the default if not given."""
     default = _default(key)
@@ -118,10 +129,8 @@ def _build_matcher_config(args, config: dict | None = None, **fixed) -> MatcherC
     if not judges <= set(_JUDGES):
         raise InputFormatError(f"unknown judges {sorted(judges - set(_JUDGES))}")
     kwargs.update((f"use_{j}", j in judges) for j in _JUDGES)
-    try:
+    with _input_errors("pipeline setting: "):
         return MatcherConfig(**kwargs, **fixed)
-    except ValueError as exc:
-        raise InputFormatError(f"pipeline setting: {exc}") from exc
 
 
 def _load_trajectories(probes_path: str, trip_gap: float) -> list[Trajectory]:
@@ -149,22 +158,8 @@ def _resolve_weights(args, config: dict) -> FusionWeights:
 
 def _record_geojson(network, record) -> dict:
     """One LineString per inferred segment of a match record."""
-    proj = network.projector
-    features = []
-    for i, seg in enumerate(record.paths):
-        if not seg:
-            continue
-        coords = []
-        for key in seg:
-            edge = network.edge(key)
-            if not coords:
-                coords.append(list(proj.to_lonlat(edge.x0, edge.y0)))
-            coords.append(list(proj.to_lonlat(edge.x1, edge.y1)))
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": coords},
-            "properties": {"trajectory": record.trajectory_id, "segment": i},
-        })
+    features = [line_feature(network, seg, {"trajectory": record.trajectory_id, "segment": i})
+                for i, seg in enumerate(record.paths) if seg]
     return {"type": "FeatureCollection", "features": features}
 
 
@@ -228,18 +223,17 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    network = make_grid_network(args.grid_cols, args.grid_rows, args.spacing,
-                                split_length=_build_matcher_config(args).split_length)
-    if args.speed_min > args.speed_max:
-        raise InputFormatError("--speed-min must not exceed --speed-max")
-    fleet = generate_synthetic(
-        network, args.vehicles, args.habit, args.congestion, args.interval,
-        args.noise, seed=args.seed, trips_per_vehicle=args.trips,
-        speed_range=(args.speed_min, args.speed_max),
-        min_route_duration=args.min_duration)
+    split_length = _build_matcher_config(args).split_length
+    with _input_errors():
+        network = make_grid_network(args.grid_cols, args.grid_rows, args.spacing,
+                                    split_length=split_length)
+        fleet = generate_synthetic(
+            network, args.vehicles, args.habit, args.congestion, args.interval,
+            args.noise, seed=args.seed, trips_per_vehicle=args.trips,
+            speed_range=(args.speed_min, args.speed_max),
+            min_route_duration=args.min_duration)
     if not fleet.trajectories:
         raise EmptyResultError("generator produced no trajectories")
-    from .history import write_probes_csv
     rows = [(t.vehicle, p) for t in fleet.trajectories for p in t.probes]
     write_probes_csv(args.out, rows)
     if args.truth_out:
@@ -255,13 +249,10 @@ def _cmd_downsample(args) -> int:
     trajectories = _load_trajectories(args.probes, _build_matcher_config(args).trip_gap)
     if not trajectories:
         raise EmptyResultError("no trajectories to downsample")
-    from .history import write_probes_csv
     kept = []
     for traj in trajectories:
-        try:
+        with _input_errors():
             thin = cal.downsample(traj, args.interval)
-        except ValueError as exc:
-            raise InputFormatError(str(exc)) from exc
         if len(thin.probes) >= 2:
             kept.append(thin)
     if not kept:
@@ -280,8 +271,9 @@ def _cmd_evaluate(args) -> int:
     if args.cost_seconds is not None:
         n = args.n_trajectories or len({tid for tid, _ in pred})
         cost = cost_index([args.cost_seconds], n)
-    report = evaluate_rows(pred, truth, cost=cost,
-                           config_echo={"pred": args.pred, "truth": args.truth})
+    with _input_errors(f"{args.pred} against {args.truth}: "):
+        report = evaluate_rows(pred, truth, cost=cost,
+                               config_echo={"pred": args.pred, "truth": args.truth})
     print(report.to_json())
     return 0
 
@@ -292,11 +284,9 @@ def _cmd_train_predictor(args) -> int:
     states = read_states_csv(args.states, network)
     if len(states) < 3:
         raise EmptyResultError("not enough state intervals to train on")
-    try:
+    with _input_errors():
         model = SpectralPredictor.for_network(network, args.max_steps, mcfg.decay_ratio)
         result = train_spectral(model, [s.values for s in states], max_epochs=args.epochs)
-    except ValueError as exc:
-        raise InputFormatError(str(exc)) from exc
     model.save(args.out)
     summary = {"epochs": result.epochs, "best_val_mse": result.best_val,
                "test_mse": result.test_mse}
@@ -314,7 +304,8 @@ def _cmd_calibrate(args) -> int:
     trajectories = _load_trajectories(args.probes, mcfg.trip_gap)
     if not trajectories:
         raise EmptyResultError("no trajectories in the anchor data")
-    intervals = [float(v) for v in args.intervals.split(",") if v]
+    with _input_errors("--intervals: "):
+        intervals = [float(v) for v in args.intervals.split(",") if v]
 
     samples = []
     for interval in intervals:
@@ -322,10 +313,8 @@ def _cmd_calibrate(args) -> int:
         for traj in sorted(trajectories, key=lambda t: (t.t0, t.id)):
             truth_paths = cal.ground_truth_paths(traj, network, radius=mcfg.vicinity_radius)
             truth_by_idx = {i: p for i, p in truth_paths}
-            try:
+            with _input_errors("--intervals: "):
                 thin = cal.downsample(traj, interval)
-            except ValueError as exc:
-                raise InputFormatError(str(exc)) from exc
             if len(thin.probes) < 2:
                 continue
             source_times = [p.t for p in traj.probes]
@@ -353,7 +342,8 @@ def _cmd_calibrate(args) -> int:
         cal.write_samples_csv(args.samples_out, samples)
     if len(samples) < 30:
         raise EmptyResultError(f"only {len(samples)} calibration samples; need 30")
-    fit = cal.fit_weights(samples, max_epochs=args.epochs, seed=args.seed)
+    with _input_errors("--epochs: "):
+        fit = cal.fit_weights(samples, max_epochs=args.epochs, seed=args.seed)
     cal.write_weights_json(args.out, fit)
     print(json.dumps({
         "weights": {"wp": fit.weights.kinematic, "wc": fit.weights.habit,

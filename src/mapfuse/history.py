@@ -7,14 +7,13 @@ locations to the traffic aggregator.
 """
 from __future__ import annotations
 
-import csv
 import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from .network import EdgeKey, InputFormatError, RoadNetwork
+from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
 
 DAY_SECONDS = 86_400.0
 MAX_PROBE_SPEED = 70.0  # m/s sanity bound
@@ -276,63 +275,81 @@ class HistoryStore:
         """Append-only newline log: trajectory|probe|edge|segment edges."""
         with open(path, "w", encoding="utf-8") as fh:
             for rec in self.records():
-                for i, t in enumerate(rec.probe_times):
-                    edge = rec.matched_edges[i]
-                    edge_s = f"{edge[0]}:{edge[1]}" if edge else ""
-                    seg = rec.paths[i] or ()
-                    seg_s = ";".join(f"{l}:{e}" for l, e in seg)
-                    fh.write(f"{rec.trajectory_id}|{i}|{edge_s}|{seg_s}\n")
+                for i, edge in enumerate(rec.matched_edges):
+                    fh.write(f"{rec.trajectory_id}|{i}|{format_edges([edge] if edge else ())}|"
+                             f"{format_edges(rec.paths[i] or ())}\n")
 
     def load_log(self, path: str, trajectories: Mapping[str, Trajectory], *,
                  prefix: str = "") -> int:
         """Re-ingest a log, joining trip metadata from the probe data.
 
-        Returns the number of records loaded. Lines for unknown trajectories
-        are rejected because the store cannot recover vehicle or endpoint
-        information without them. ``prefix`` namespaces the stored ids so a
-        warm start cannot collide with the session's own trajectory ids.
+        Returns the number of records loaded. A line naming an unknown
+        trajectory (whose vehicle and endpoints the store cannot recover),
+        edge or probe is rejected, as is a record that is not a valid match.
+        ``prefix`` namespaces the stored ids so a warm start cannot collide
+        with the session's own trajectory ids.
         """
+        known = {edge.key for edge in self.network.iter_edges()}
         per_trip: dict[str, dict[int, tuple[EdgeKey | None, tuple[EdgeKey, ...] | None]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("|")
-                if len(parts) != 4:
-                    raise InputFormatError(f"{path}:{lineno}: expected 4 fields")
-                tid, idx_s, edge_s, seg_s = parts
-                try:
-                    idx = int(idx_s)
-                    edge = None
-                    if edge_s:
-                        l, e = edge_s.split(":")
-                        edge = (int(l), int(e))
-                    seg = None
-                    if seg_s:
-                        seg = tuple((int(l), int(e)) for l, e in
-                                    (item.split(":") for item in seg_s.split(";")))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for lineno, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    try:
+                        tid, idx_s, edge_s, seg_s = line.split("|")
+                        idx = int(idx_s)
+                        (edge,) = parse_edges(edge_s) or (None,)
+                        seg = parse_edges(seg_s)
+                    except ValueError as exc:
+                        raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+                    if not known.issuperset(seg or ()) or (edge and edge not in known):
+                        bad = next(k for k in (*(seg or ()), edge) if k not in known)
+                        raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
+                                               f"edge {bad} is not in the network")
                     per_trip.setdefault(tid, {})[idx] = (edge, seg)
-                except ValueError as exc:
-                    raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InputFormatError(f"{path}: {exc}") from exc
         loaded = 0
         for tid in sorted(per_trip):
             if tid not in trajectories:
-                raise InputFormatError(f"history log references unknown trajectory {tid}")
+                raise InputFormatError(f"{path}: trajectory {tid} is not in the history probes")
             traj = trajectories[tid]
             rows = per_trip[tid]
             n = len(traj.probes)
+            if min(rows) < 0 or max(rows) >= n:
+                bad = next(i for i in rows if not 0 <= i < n)
+                raise InputFormatError(f"{path}: trajectory {tid}: probe index {bad} is "
+                                       f"outside its {n} probes")
             matched = tuple(rows.get(i, (None, None))[0] for i in range(n))
             paths = tuple(rows.get(i, (None, None))[1] for i in range(n))
-            self.record_match(MatchRecord(
-                trajectory_id=prefix + tid, vehicle=traj.vehicle,
-                probe_times=tuple(p.t for p in traj.probes),
-                matched_edges=matched, paths=paths,
-                start_lonlat=(traj.start.lon, traj.start.lat),
-                end_lonlat=(traj.end.lon, traj.end.lat),
-                t0=traj.t0, t_end=traj.t_end))
+            try:
+                self.record_match(MatchRecord(
+                    trajectory_id=prefix + tid, vehicle=traj.vehicle,
+                    probe_times=tuple(p.t for p in traj.probes),
+                    matched_edges=matched, paths=paths,
+                    start_lonlat=(traj.start.lon, traj.start.lat),
+                    end_lonlat=(traj.end.lon, traj.end.lat),
+                    t0=traj.t0, t_end=traj.t_end))
+            except ValueError as exc:
+                raise InputFormatError(f"{path}: trajectory {tid}: {exc}") from exc
             loaded += 1
         return loaded
+
+
+def format_edges(edges: Iterable[EdgeKey]) -> str:
+    """``link:edge;link:edge``, the edge-list field of match CSVs and history logs."""
+    return ";".join(f"{link}:{index}" for link, index in edges)
+
+
+def parse_edges(text: str) -> tuple[EdgeKey, ...] | None:
+    """The edges of a :func:`format_edges` field; None for an empty field."""
+    edges = []
+    for item in text.split(";") if text else ():  # a plain loop is cheaper than generators
+        link, index = item.split(":")
+        edges.append((int(link), int(index)))
+    return tuple(edges) or None
 
 
 # -- probe file I/O ----------------------------------------------------------
@@ -340,28 +357,18 @@ class HistoryStore:
 PROBE_COLUMNS = ("vehicle_id", "timestamp", "lon", "lat", "speed_mps", "bearing_deg")
 
 
+def _probe_row(rec: dict) -> tuple[str, Probe]:
+    return rec["vehicle_id"], Probe(
+        t=float(rec["timestamp"]), speed=float(rec["speed_mps"]),
+        bearing=float(rec["bearing_deg"]) % 360.0,
+        lon=float(rec["lon"]), lat=float(rec["lat"]))
+
+
 def load_probes_csv(path: str) -> dict[str, list[Probe]]:
     """Probes per vehicle, sorted by time."""
     by_vehicle: dict[str, list[Probe]] = {}
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
-                raise InputFormatError(f"{path}: empty file (header row required)")
-            missing = [c for c in PROBE_COLUMNS if c not in reader.fieldnames]
-            if missing:
-                raise InputFormatError(f"{path}: missing columns {missing}")
-            for rec in reader:
-                try:
-                    probe = Probe(
-                        t=float(rec["timestamp"]), speed=float(rec["speed_mps"]),
-                        bearing=float(rec["bearing_deg"]) % 360.0,
-                        lon=float(rec["lon"]), lat=float(rec["lat"]))
-                except ValueError as exc:
-                    raise InputFormatError(f"{path}: bad probe row {rec}: {exc}") from exc
-                by_vehicle.setdefault(rec["vehicle_id"], []).append(probe)
-    except OSError as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
+    for vehicle, probe in _read_csv(path, PROBE_COLUMNS, _probe_row):
+        by_vehicle.setdefault(vehicle, []).append(probe)
     for vehicle, probes in by_vehicle.items():
         probes.sort(key=lambda p: p.t)
         for a, b in zip(probes, probes[1:]):
@@ -372,12 +379,9 @@ def load_probes_csv(path: str) -> dict[str, list[Probe]]:
 
 
 def write_probes_csv(path: str, rows: Iterable[tuple[str, Probe]]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PROBE_COLUMNS)
-        for vehicle, p in rows:
-            writer.writerow([vehicle, f"{p.t:.3f}", f"{p.lon:.8f}", f"{p.lat:.8f}",
-                             f"{p.speed:.3f}", f"{p.bearing:.3f}"])
+    _write_csv(path, PROBE_COLUMNS, ([vehicle, f"{p.t:.3f}", f"{p.lon:.8f}", f"{p.lat:.8f}",
+                                      f"{p.speed:.3f}", f"{p.bearing:.3f}"]
+                                     for vehicle, p in rows))
 
 
 def split_trips(vehicle: str, probes: Sequence[Probe], gap: float) -> list[Trajectory]:

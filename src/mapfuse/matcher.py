@@ -8,7 +8,6 @@ boundaries, so a trajectory never sees its own in-flight results.
 """
 from __future__ import annotations
 
-import csv
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -16,8 +15,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .history import CollaborationContext, HistoryStore, MatchRecord, Probe, Trajectory
-from .network import EdgeKey, InputFormatError, RoadNetwork
+from .history import (CollaborationContext, HistoryStore, MatchRecord, Probe, Trajectory,
+                      format_edges, parse_edges)
+from .network import EdgeKey, RoadNetwork, _read_csv, _write_csv
 from .path_search import (CandidateEdge, CandidatePath, build_subgraph, candidate_path_budget,
                           carried_candidate, ellipse_region, find_candidate_edges,
                           k_shortest_paths)
@@ -352,19 +352,11 @@ MATCH_COLUMNS = ("trajectory_id", "probe_idx", "timestamp", "link_id", "edge_idx
 
 
 def write_match_csv(path: str, records: Sequence[MatchRecord]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MATCH_COLUMNS)
-        for rec in sorted(records, key=lambda r: r.trajectory_id):
-            for i, t in enumerate(rec.probe_times):
-                edge = rec.matched_edges[i]
-                seg = rec.paths[i] or ()
-                writer.writerow([
-                    rec.trajectory_id, i, f"{t:.3f}",
-                    edge[0] if edge else "", edge[1] if edge else "",
-                    1 if edge else 0,
-                    ";".join(f"{l}:{e}" for l, e in seg),
-                ])
+    _write_csv(path, MATCH_COLUMNS, (
+        [rec.trajectory_id, i, f"{t:.3f}", edge[0] if edge else "", edge[1] if edge else "",
+         1 if edge else 0, format_edges(rec.paths[i] or ())]
+        for rec in sorted(records, key=lambda r: r.trajectory_id)
+        for i, (t, edge) in enumerate(zip(rec.probe_times, rec.matched_edges))))
 
 
 @dataclass(frozen=True)
@@ -376,25 +368,15 @@ class MatchRow:
     path: tuple[EdgeKey, ...] | None
 
 
+def _match_row(rec: dict) -> MatchRow:
+    timestamp = float(rec["timestamp"])
+    if not math.isfinite(timestamp):
+        raise ValueError(f"non-finite timestamp {timestamp}")
+    edge = (int(rec["link_id"]), int(rec["edge_idx"])) if rec["matched"] == "1" else None
+    return MatchRow(rec["trajectory_id"], int(rec["probe_idx"]), timestamp, edge,
+                    parse_edges(rec["path_edges"]))
+
+
 def read_match_csv(path: str) -> dict[tuple[str, int], MatchRow]:
-    rows: dict[tuple[str, int], MatchRow] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or \
-                any(c not in reader.fieldnames for c in MATCH_COLUMNS):
-            raise InputFormatError(f"{path}: expected columns {','.join(MATCH_COLUMNS)}")
-        for rec in reader:
-            try:
-                edge = None
-                if rec["matched"] == "1":
-                    edge = (int(rec["link_id"]), int(rec["edge_idx"]))
-                seg = None
-                if rec["path_edges"]:
-                    seg = tuple((int(l), int(e)) for l, e in
-                                (item.split(":") for item in rec["path_edges"].split(";")))
-                row = MatchRow(rec["trajectory_id"], int(rec["probe_idx"]),
-                               float(rec["timestamp"]), edge, seg)
-            except (TypeError, ValueError) as exc:
-                raise InputFormatError(f"{path}: bad row {rec}") from exc
-            rows[(row.trajectory_id, row.probe_idx)] = row
-    return rows
+    return {(row.trajectory_id, row.probe_idx): row
+            for row in _read_csv(path, MATCH_COLUMNS, _match_row)}

@@ -11,7 +11,7 @@ import csv
 import math
 import threading
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -23,6 +23,8 @@ EdgeKey = tuple[int, int]
 # Edges shorter than this after splitting are merged into the previous edge
 # to avoid degenerate projections.
 MIN_EDGE_LENGTH = 1e-3
+
+_Row = TypeVar("_Row")
 
 
 class InputFormatError(ValueError):
@@ -246,60 +248,71 @@ def _split_link(length: float, split_length: float) -> list[float]:
     return lengths
 
 
-def load_network(nodes_table: Sequence[tuple], links_table: Sequence[tuple],
-                 split_length: float) -> RoadNetwork:
-    """Build a road network from raw rows.
+class _NetworkBuilder:
+    """Checks and collects node rows, then link rows, one row at a time.
 
-    ``nodes_table`` rows: (node_id, lon, lat).
-    ``links_table`` rows: (link_id, from_node, to_node[, length_m[, bearing_deg]])
-    with None for absent optionals. Explicit length and bearing win over
-    geometry when provided.
+    Taking one row per call lets a file reader name the row that fails a
+    check; ``nodes_name`` and ``links_name`` name the two sources in errors
+    that point across rows.
     """
-    if not (math.isfinite(split_length) and split_length > 0):
-        raise InputFormatError(f"split length must be finite and positive, got {split_length}")
-    raw_nodes: dict[int, tuple[float, float]] = {}
-    for row in nodes_table:
-        nid, lon, lat = int(row[0]), float(row[1]), float(row[2])
-        if nid in raw_nodes:
+
+    def __init__(self, split_length: float, nodes_name: str = "the node table",
+                 links_name: str = "the link table"):
+        if not (math.isfinite(split_length) and split_length > 0):
+            raise InputFormatError(f"split length must be finite and positive, got {split_length}")
+        self.split_length = split_length
+        self.nodes_name, self.links_name = nodes_name, links_name
+        self.raw_nodes: dict[int, tuple[float, float]] = {}
+        self.projector: PlanarProjector | None = None
+        self.nodes: dict[int, Node] = {}
+        self.links: dict[int, Link] = {}
+
+    def add_node(self, nid, lon, lat) -> None:
+        nid, lon, lat = int(nid), float(lon), float(lat)
+        if nid in self.raw_nodes:
             raise InputFormatError(f"duplicate node id {nid}")
         if not (math.isfinite(lon) and math.isfinite(lat)):
             raise InputFormatError(f"non-finite coordinates for node {nid}")
-        raw_nodes[nid] = (lon, lat)
-    if not raw_nodes:
-        raise InputFormatError("no nodes")
+        self.raw_nodes[nid] = (lon, lat)
 
-    origin_lon = sum(c[0] for c in raw_nodes.values()) / len(raw_nodes)
-    origin_lat = sum(c[1] for c in raw_nodes.values()) / len(raw_nodes)
-    projector = PlanarProjector(origin_lon, origin_lat)
-    nodes = {}
-    for nid, (lon, lat) in raw_nodes.items():
-        x, y = projector.to_plane(lon, lat)
-        nodes[nid] = Node(nid, lon, lat, x, y)
+    def _project_nodes(self) -> None:
+        """Anchor the planar frame at the node centroid, once all nodes are in."""
+        raw = self.raw_nodes
+        if not raw:
+            raise InputFormatError(f"no nodes in {self.nodes_name}")
+        self.projector = PlanarProjector(sum(c[0] for c in raw.values()) / len(raw),
+                                         sum(c[1] for c in raw.values()) / len(raw))
+        for nid, (lon, lat) in raw.items():
+            x, y = self.projector.to_plane(lon, lat)
+            self.nodes[nid] = Node(nid, lon, lat, x, y)
 
-    links: dict[int, Link] = {}
-    for row in links_table:
-        lid, from_node, to_node = int(row[0]), int(row[1]), int(row[2])
-        length_in = float(row[3]) if len(row) > 3 and row[3] is not None else None
-        bearing_in = float(row[4]) if len(row) > 4 and row[4] is not None else None
-        if lid in links:
+    def add_link(self, lid, from_node, to_node, length_in=None, bearing_in=None) -> None:
+        if not self.nodes:
+            self._project_nodes()
+        lid, from_node, to_node = int(lid), int(from_node), int(to_node)
+        if lid in self.links:
             raise InputFormatError(f"duplicate link id {lid}")
-        if from_node not in nodes or to_node not in nodes:
-            raise InputFormatError(f"link {lid} references a missing node")
+        for nid in (from_node, to_node):
+            if nid not in self.nodes:
+                raise InputFormatError(f"link {lid} references node {nid}, "
+                                       f"missing from {self.nodes_name}")
         if from_node == to_node:
             raise InputFormatError(f"link {lid} is a self loop")
-        a, b = nodes[from_node], nodes[to_node]
+        a, b = self.nodes[from_node], self.nodes[to_node]
         geo_length = math.hypot(b.x - a.x, b.y - a.y)
-        length = length_in if length_in is not None else geo_length
-        if length is None or length <= 0 or not math.isfinite(length):
+        length = float(length_in) if length_in is not None else geo_length
+        if length <= 0 or not math.isfinite(length):
             raise InputFormatError(f"link {lid} has non-positive length")
         if bearing_in is not None:
-            bearing = bearing_in % 360.0
+            bearing = float(bearing_in) % 360.0  # NaN for a non-finite bearing
+            if math.isnan(bearing):
+                raise InputFormatError(f"link {lid} has a non-finite bearing")
         else:
             if geo_length == 0.0:
                 raise InputFormatError(f"link {lid} has coincident endpoints and no bearing")
             bearing = segment_bearing(a.x, a.y, b.x, b.y)
 
-        edge_lengths = _split_link(length, split_length)
+        edge_lengths = _split_link(length, self.split_length)
         edges = []
         cum = 0.0
         m = len(edge_lengths)
@@ -315,14 +328,43 @@ def load_network(nodes_table: Sequence[tuple], links_table: Sequence[tuple],
                 from_point=from_point, to_point=to_point,
             ))
             cum += el
-        links[lid] = Link(lid, from_node, to_node, length, bearing,
-                          a.x, a.y, b.x, b.y, tuple(edges))
-    if not links:
-        raise InputFormatError("no links")
-    return RoadNetwork(nodes, links, projector, split_length)
+        self.links[lid] = Link(lid, from_node, to_node, length, bearing,
+                               a.x, a.y, b.x, b.y, tuple(edges))
+
+    def network(self) -> RoadNetwork:
+        if not self.nodes:
+            self._project_nodes()
+        if not self.links:
+            raise InputFormatError(f"no links in {self.links_name}")
+        return RoadNetwork(self.nodes, self.links, self.projector, self.split_length)
 
 
-def _read_csv(path: str, required: Sequence[str]) -> Iterator[dict]:
+def load_network(nodes_table: Iterable[tuple], links_table: Iterable[tuple],
+                 split_length: float) -> RoadNetwork:
+    """Build a road network from raw rows.
+
+    ``nodes_table`` rows: (node_id, lon, lat).
+    ``links_table`` rows: (link_id, from_node, to_node[, length_m[, bearing_deg]])
+    with None for absent optionals. Explicit length and bearing win over
+    geometry when provided.
+    """
+    build = _NetworkBuilder(split_length)
+    for row in nodes_table:
+        build.add_node(*row)
+    for row in links_table:
+        build.add_link(*row)
+    return build.network()
+
+
+def _read_csv(path: str, required: Sequence[str],
+              convert: Callable[[dict], _Row]) -> Iterator[_Row]:
+    """``convert`` of each row of a CSV file with a header row.
+
+    The one place that opens a CSV for reading: a missing, unreadable or
+    non-UTF-8 file, a missing column, or a row that ``convert`` rejects with
+    KeyError, TypeError or ValueError raises InputFormatError naming the
+    file, and for a row its line.
+    """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
@@ -331,26 +373,32 @@ def _read_csv(path: str, required: Sequence[str]) -> Iterator[dict]:
             missing = [c for c in required if c not in reader.fieldnames]
             if missing:
                 raise InputFormatError(f"{path}: missing columns {missing}")
-            yield from reader
-    except (OSError, UnicodeDecodeError) as exc:
+            for rec in reader:
+                try:
+                    yield convert(rec)
+                except (KeyError, TypeError, ValueError) as exc:
+                    reason = f"unknown id {exc}" if isinstance(exc, KeyError) else exc
+                    raise InputFormatError(f"{path}:{reader.line_num}: {reason}") from exc
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """The one place that writes a CSV: a header row, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def save_network_csv(network: RoadNetwork, nodes_path: str, links_path: str) -> None:
     """Write the interchange CSVs; lengths and bearings are made explicit."""
-    with open(nodes_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node_id", "lon", "lat"])
-        for nid in sorted(network.nodes):
-            node = network.nodes[nid]
-            writer.writerow([nid, f"{node.lon:.8f}", f"{node.lat:.8f}"])
-    with open(links_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["link_id", "from_node", "to_node", "length_m", "bearing_deg"])
-        for lid in network.link_ids:
-            link = network.links[lid]
-            writer.writerow([lid, link.from_node, link.to_node,
-                             f"{link.length:.6f}", f"{link.bearing:.6f}"])
+    _write_csv(nodes_path, ("node_id", "lon", "lat"),
+               ([nid, f"{node.lon:.8f}", f"{node.lat:.8f}"]
+                for nid, node in sorted(network.nodes.items())))
+    _write_csv(links_path, ("link_id", "from_node", "to_node", "length_m", "bearing_deg"),
+               ([lid, link.from_node, link.to_node, f"{link.length:.6f}", f"{link.bearing:.6f}"]
+                for lid, link in sorted(network.links.items())))
 
 
 def load_network_csv(nodes_path: str, links_path: str, split_length: float) -> RoadNetwork:
@@ -359,22 +407,13 @@ def load_network_csv(nodes_path: str, links_path: str, split_length: float) -> R
     nodes: ``node_id,lon,lat``; links: ``link_id,from_node,to_node`` with
     optional ``length_m`` and ``bearing_deg`` columns.
     """
-    node_rows = []
-    for rec in _read_csv(nodes_path, ("node_id", "lon", "lat")):
-        try:
-            node_rows.append((int(rec["node_id"]), float(rec["lon"]), float(rec["lat"])))
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{nodes_path}: bad row {rec}") from exc
-    link_rows = []
-    for rec in _read_csv(links_path, ("link_id", "from_node", "to_node")):
-        try:
-            length = rec.get("length_m")
-            bearing = rec.get("bearing_deg")
-            link_rows.append((
-                int(rec["link_id"]), int(rec["from_node"]), int(rec["to_node"]),
-                float(length) if length not in (None, "") else None,
-                float(bearing) if bearing not in (None, "") else None,
-            ))
-        except (TypeError, ValueError) as exc:
-            raise InputFormatError(f"{links_path}: bad row {rec}") from exc
-    return load_network(node_rows, link_rows, split_length)
+    build = _NetworkBuilder(split_length, nodes_path, links_path)
+    for _ in _read_csv(nodes_path, ("node_id", "lon", "lat"),
+                       lambda rec: build.add_node(rec["node_id"], rec["lon"], rec["lat"])):
+        pass
+    for _ in _read_csv(links_path, ("link_id", "from_node", "to_node"),
+                       lambda rec: build.add_link(rec["link_id"], rec["from_node"], rec["to_node"],
+                                                  rec.get("length_m") or None,
+                                                  rec.get("bearing_deg") or None)):
+        pass
+    return build.network()

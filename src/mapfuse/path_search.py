@@ -438,34 +438,25 @@ def k_shortest_paths(subgraph: SubGraph,
 
 # -- debug dumps ---------------------------------------------------------------
 
+def line_feature(network: RoadNetwork, keys: Sequence[EdgeKey], properties: dict) -> dict:
+    """GeoJSON LineString feature through consecutive edges, in lon/lat."""
+    proj = network.projector
+    edges = [network.edge(key) for key in keys]
+    coords = [list(proj.to_lonlat(edges[0].x0, edges[0].y0))]
+    coords += [list(proj.to_lonlat(edge.x1, edge.y1)) for edge in edges]
+    return {"type": "Feature", "geometry": {"type": "LineString", "coordinates": coords},
+            "properties": properties}
+
+
 def subgraph_geojson(subgraph: SubGraph) -> dict:
-    features = []
-    proj = subgraph.network.projector
-    for key in sorted(subgraph.edge_keys):
-        edge = subgraph.network.edge(key)
-        coords = [list(proj.to_lonlat(edge.x0, edge.y0)), list(proj.to_lonlat(edge.x1, edge.y1))]
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": coords},
-            "properties": {"link": key[0], "edge": key[1]},
-        })
+    features = [line_feature(subgraph.network, [key], {"link": key[0], "edge": key[1]})
+                for key in sorted(subgraph.edge_keys)]
     return {"type": "FeatureCollection", "features": features}
 
 
 def paths_geojson(network: RoadNetwork, paths: Iterable[CandidatePath]) -> dict:
-    features = []
-    proj = network.projector
-    for rank, path in enumerate(paths):
-        coords = []
-        for key in path.edges:
-            edge = network.edge(key)
-            if not coords:
-                coords.append(list(proj.to_lonlat(edge.x0, edge.y0)))
-            coords.append(list(proj.to_lonlat(edge.x1, edge.y1)))
-        features.append({
-            "type": "Feature",
-            "geometry": {"type": "LineString", "coordinates": coords},
-            "properties": {"rank": rank, "length_m": round(path.length, 3),
-                           "links": len(path.link_ids)},
-        })
+    features = [line_feature(network, path.edges,
+                             {"rank": rank, "length_m": round(path.length, 3),
+                              "links": len(path.link_ids)})
+                for rank, path in enumerate(paths)]
     return {"type": "FeatureCollection", "features": features}

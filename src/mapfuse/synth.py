@@ -249,6 +249,8 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         raise ValueError("habit strength must be in [0, 1]")
     if probe_interval <= 0:
         raise ValueError("probe interval must be positive")
+    if not 0.0 < speed_range[0] <= speed_range[1] < math.inf:
+        raise ValueError(f"speed range must satisfy 0 < min <= max < inf, got {speed_range}")
     rng = np.random.default_rng(seed)
     min_duration = (min_route_duration if min_route_duration is not None
                     else 2.5 * probe_interval)

@@ -277,6 +277,8 @@ def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
     without validation improvement, and the best-validation filters are
     restored at the end.
     """
+    if max_epochs < 1:
+        raise ValueError(f"need at least one epoch, got {max_epochs}")
     windows, targets = build_windows(states, model.max_steps)
     n_train, n_val, n_test = _split_sizes(windows.shape[0])
     w_train, y_train = windows[:n_train], targets[:n_train]
@@ -355,14 +357,13 @@ def write_states_csv(path: str, network: RoadNetwork, states: Sequence[StateVect
 
 
 def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
-    rows: dict[int, np.ndarray] = {}
-    for rec in _read_csv(path, ("interval_j", "link_id", "X")):
-        try:  # an unknown link id is a KeyError
-            j, x = int(rec["interval_j"]), float(rec["X"])
-            row = network.link_row(int(rec["link_id"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"{path}: bad row {rec}") from exc
+    def convert(rec: dict) -> tuple[int, int, float]:
+        x = float(rec["X"])
         if not math.isfinite(x):
-            raise InputFormatError(f"{path}: non-finite X in row {rec}")
+            raise ValueError(f"non-finite X {x}")
+        return int(rec["interval_j"]), network.link_row(int(rec["link_id"])), x
+
+    rows: dict[int, np.ndarray] = {}
+    for j, row, x in _read_csv(path, ("interval_j", "link_id", "X"), convert):
         rows.setdefault(j, np.zeros(network.n_links()))[row] = x
     return [StateVector(j, rows[j]) for j in sorted(rows)]

@@ -74,6 +74,12 @@ class TestDownsample:
         with pytest.raises(ValueError):
             downsample(traj, 40.0)
 
+    @pytest.mark.parametrize("interval", [float("inf"), float("nan"), 0.0, -30.0])
+    def test_rejects_non_finite_or_non_positive(self, chain_network, interval):
+        traj = _chain_trajectory(chain_network, [10.0 + 20.0 * i for i in range(6)])
+        with pytest.raises(ValueError, match="finite and positive"):
+            downsample(traj, interval)
+
     def test_composition_is_idempotent_on_aligned_grids(self, chain_network):
         traj = _chain_trajectory(chain_network, [10.0 + 10.0 * i for i in range(17)])
         once = downsample(traj, 60.0)
@@ -139,6 +145,11 @@ class TestFitWeights:
         fit = fit_weights(samples)
         assert fit.degenerate
         assert fit.weights.kinematic == pytest.approx(1 / 3)
+
+    def test_needs_an_epoch(self):
+        samples = [CalibrationSample(0.1 * (i % 7), 0.2, 0.3, 0.4) for i in range(40)]
+        with pytest.raises(ValueError, match="epoch"):
+            fit_weights(samples, max_epochs=0)
 
     def test_needs_thirty_samples(self):
         samples = [CalibrationSample(0.1, 0.2, 0.3, 0.4)] * 29

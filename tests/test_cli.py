@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import io
 import json
 import math
 
@@ -49,11 +51,12 @@ def _match(workdir, out_name="matches.csv", *extra):
 def fleet(tmp_path_factory):
     """A tiny fleet with its state log, for tests that only read them."""
     d = tmp_path_factory.mktemp("fleet")
-    assert main(["synth", "--out", str(d / "probes.csv"),
+    assert main(["synth", "--out", str(d / "probes.csv"), "--truth-out", str(d / "truth.csv"),
                  "--nodes-out", str(d / "nodes.csv"), "--links-out", str(d / "links.csv"),
                  "--grid-cols", "4", "--grid-rows", "4", "--vehicles", "3",
                  "--interval", "60", "--seed", "3"]) == 0
-    _match(d, "matches.csv", "--states-out", str(d / "states.csv"))
+    _match(d, "matches.csv", "--states-out", str(d / "states.csv"),
+           "--history-log-out", str(d / "history.log"))
     return d
 
 
@@ -235,6 +238,116 @@ class TestBadFiles:
         assert "bad.csv" in capsys.readouterr().err
 
 
+# every input file of match, evaluate and train-predictor in the fleet fixture
+_FLEET_FILES = ("nodes.csv", "links.csv", "probes.csv", "history.log", "matches.csv",
+                "truth.csv", "states.csv")
+
+
+def _reader_argv(d, name, path):
+    """The command that reads the fleet's file ``name``, with ``path`` in its place."""
+    files = {n: str(d / n) for n in _FLEET_FILES}
+    files[name] = str(path)
+    if name in ("matches.csv", "truth.csv"):
+        return ["evaluate", "--pred", files["matches.csv"], "--truth", files["truth.csv"]]
+    network = ["--nodes", files["nodes.csv"], "--links", files["links.csv"]]
+    if name == "states.csv":
+        return ["train-predictor", *network, "--states", files["states.csv"],
+                "--out", str(d / "model-out.json"), "--max-steps", "2", "--epochs", "20"]
+    # a network file that lost a link makes the clean history log the one that
+    # disagrees with it, and the log's error names the log; so the network runs cold
+    warm = ([] if name in ("nodes.csv", "links.csv") else
+            ["--history-log", files["history.log"], "--history-probes", str(d / "probes.csv")])
+    return ["match", *network, "--probes", files["probes.csv"], *warm,
+            "--out", str(d / "match-out.csv")]
+
+
+def _log_with(fleet, edit):
+    """The fleet's history log with its first segment line passed through ``edit``."""
+    lines = (fleet / "history.log").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split("|")[3].count(";") >= 1)
+    tid, idx, edge, seg = lines[i].split("|")
+    lines[i] = "|".join(edit(tid, idx, edge, seg.split(";")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _with_non_utf8(path):
+    data = path.read_bytes()
+    return data[:40] + b"\xff\xfe" + data[40:]
+
+
+# case -> (the fleet file it stands in for, its bytes; None for a missing file)
+_BAD_INPUTS = {
+    "missing_pred": ("matches.csv", lambda d: None),
+    "non_utf8_pred": ("matches.csv", lambda d: _with_non_utf8(d / "matches.csv")),
+    "non_utf8_probes": ("probes.csv", lambda d: _with_non_utf8(d / "probes.csv")),
+    "non_utf8_history_log": ("history.log", lambda d: _with_non_utf8(d / "history.log")),
+    "missing_history_log": ("history.log", lambda d: None),
+    "history_unknown_link": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
+        t, i, "999:1", ";".join(seg + ["999:1"])))),
+    "history_unknown_edge": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
+        t, i, f"{seg[-1].split(':')[0]}:99", ""))),
+    "history_disconnected": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
+        t, i, seg[0], ";".join(reversed(seg))))),
+    "history_end_edge_mismatch": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
+        t, i, seg[0], ";".join(seg)))),
+    "history_probe_out_of_range": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
+        t, "99", e, ";".join(seg)))),
+}
+
+
+class TestBadInputFiles:
+    @pytest.mark.parametrize("case", sorted(_BAD_INPUTS))
+    def test_bad_file_is_2_and_named(self, fleet, tmp_path, capsys, case):
+        name, content = _BAD_INPUTS[case]
+        bad = tmp_path / "bad.file"
+        data = content(fleet)
+        if data is not None:
+            bad.write_bytes(data)
+        assert main(_reader_argv(fleet, name, bad)) == 2
+        assert "bad.file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, column", [("nodes.csv", 1), ("links.csv", 2),
+                                              ("probes.csv", 3), ("states.csv", 2),
+                                              ("matches.csv", 1)])
+    def test_row_error_names_file_and_line(self, fleet, tmp_path, capsys, name, column):
+        lines = (fleet / name).read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = "abc"
+        lines[2] = ",".join(fields)
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(_reader_argv(fleet, name, bad)) == 2
+        assert f"{bad}:3: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["calibrate", "--intervals", "abc"], "--intervals"),
+    (["calibrate", "--intervals", "60", "--epochs", "0"], "epoch"),
+    (["train-predictor", "--max-steps", "2", "--epochs", "0"], "epoch"),
+])
+def test_bad_count_or_list_is_2(fleet, tmp_path, capsys, argv, name):
+    files = {"calibrate": ["--probes", str(fleet / "probes.csv")],
+             "train-predictor": ["--states", str(fleet / "states.csv")]}[argv[0]]
+    code = main([argv[0], "--nodes", str(fleet / "nodes.csv"), "--links", str(fleet / "links.csv"),
+                 "--out", str(tmp_path / "out.json"), *files, *argv[1:]])
+    assert code == 2
+    assert name in capsys.readouterr().err
+
+
+def test_downsample_infinite_interval_is_2(fleet, tmp_path, capsys):
+    assert main(["downsample", "--probes", str(fleet / "probes.csv"),
+                 "--out", str(tmp_path / "thin.csv"), "--interval", "inf"]) == 2
+    assert "interval" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, name", [(["--interval", "0"], "interval"),
+                                         (["--speed-min", "0", "--speed-max", "0"], "speed"),
+                                         (["--speed-min", "6", "--speed-max", "2"], "speed")])
+def test_bad_synth_setting_is_2(tmp_path, capsys, flags, name):
+    assert main(["synth", "--out", str(tmp_path / "p.csv"), *flags]) == 2
+    assert name in capsys.readouterr().err
+
+
 def test_every_pipeline_key_names_a_config_field():
     fields = {f.name for f in dataclasses.fields(MatcherConfig)}
     for key in set(_CONFIG_KEYS) - set(_CLI_DEFAULTS):
@@ -267,6 +380,42 @@ def test_fuzzed_settings_exit_cleanly(fleet, picks, as_flags):
     except SystemExit as exc:  # argparse rejects a value its type cannot parse
         code = exc.code
     assert code in (0, 2, 3)
+
+
+_CORRUPTIONS = ("drop", "duplicate", "", "nan", "abc", "cut", "non_utf8")
+
+
+def _corrupt(data: bytes, how: str, line: int, field: int, sep: bytes) -> bytes:
+    lines = data.splitlines()
+    i = line % len(lines)
+    fields = lines[i].split(sep)
+    j = field % len(fields)
+    if how == "drop":
+        del lines[i]
+    elif how == "duplicate":
+        lines.insert(i, lines[i])
+    elif how == "cut":
+        lines[i] = sep.join(fields[:j])
+    else:
+        fields[j] = fields[j] + b"\xff" if how == "non_utf8" else how.encode()
+        lines[i] = sep.join(fields)
+    return b"\n".join(lines) + b"\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(_FLEET_FILES), how=st.sampled_from(_CORRUPTIONS),
+       line=st.integers(0, 10_000), field=st.integers(0, 10))
+def test_corrupted_file_exits_cleanly(fleet, name, how, line, field):
+    # one corrupted input file ends in a result or a clean error that names it
+    bad = fleet / f"corrupt-{name}"
+    sep = b"|" if name == "history.log" else b","
+    bad.write_bytes(_corrupt((fleet / name).read_bytes(), how, line, field, sep))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = main(_reader_argv(fleet, name, bad))
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert bad.name in err.getvalue()
 
 
 class TestConfigFile:

@@ -3,8 +3,8 @@ import math
 import pytest
 
 from mapfuse.history import (DAY_SECONDS, HistoryStore, MatchRecord, Probe, Trajectory,
-                             load_probes_csv, split_trips, time_of_day_delta,
-                             write_probes_csv)
+                             format_edges, load_probes_csv, parse_edges, split_trips,
+                             time_of_day_delta, write_probes_csv)
 
 
 def _lonlat(net, x, y):
@@ -272,6 +272,16 @@ def test_log_round_trip(tmp_path, chain_network):
     assert again.load_log(str(log_path), {"a-0": traj}) == 1
     assert again.vehicle_counts("a", before_t=rec.t_end) == \
         store.vehicle_counts("a", before_t=rec.t_end)
+
+
+def test_edge_codec_round_trip():
+    edges = ((3, 1), (3, 2), (17, 1))
+    assert format_edges(edges) == "3:1;3:2;17:1"
+    assert parse_edges("3:1;3:2;17:1") == edges
+    assert format_edges(()) == "" and parse_edges("") is None
+    for bad in ("3", "3:1;", "3:1:2", "a:1"):
+        with pytest.raises(ValueError):
+            parse_edges(bad)
 
 
 def test_probe_csv_round_trip(tmp_path, chain_network):

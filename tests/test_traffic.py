@@ -209,6 +209,13 @@ class TestSpectralTraining:
         history = result.train_history
         assert all(b <= a + 1e-12 for a, b in zip(history, history[1:]))
 
+    def test_zero_epochs_rejected(self):
+        rng = np.random.default_rng(9)
+        net, states, _ = _planted_setup(rng, n_links=8, n_intervals=20)
+        model = SpectralPredictor.for_network(net, 3, 0.8)
+        with pytest.raises(ValueError, match="epoch"):
+            train_spectral(model, states, max_epochs=0)
+
     def test_insufficient_data_rejected(self):
         net = chain_net(4)
         model = SpectralPredictor.for_network(net, 3, 0.8)
