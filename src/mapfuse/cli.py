@@ -270,7 +270,8 @@ def _cmd_evaluate(args) -> int:
     cost = None
     if args.cost_seconds is not None:
         n = args.n_trajectories or len({tid for tid, _ in pred})
-        cost = cost_index([args.cost_seconds], n)
+        with _input_errors("--cost-seconds/--n-trajectories: "):
+            cost = cost_index([args.cost_seconds], n)
     with _input_errors(f"{args.pred} against {args.truth}: "):
         report = evaluate_rows(pred, truth, cost=cost,
                                config_echo={"pred": args.pred, "truth": args.truth})

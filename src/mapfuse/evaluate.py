@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -49,7 +50,9 @@ def recall_index(pred: Rows, truth: Rows) -> float:
 def cost_index(wall_times: Sequence[float], n_trajectories: int) -> float:
     """Mean matching seconds per trajectory."""
     if n_trajectories < 1:
-        raise ValueError("need at least one trajectory")
+        raise ValueError(f"need at least one trajectory, got {n_trajectories}")
+    if not all(0.0 <= t < math.inf for t in wall_times):
+        raise ValueError(f"wall times must be finite and non-negative, got {list(wall_times)}")
     return sum(wall_times) / n_trajectories
 
 

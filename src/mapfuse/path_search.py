@@ -11,7 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Iterable, Sequence
+from itertools import repeat
+from typing import Container, Iterable, Sequence
 
 from .geometry import bearing_inclination
 from .network import Edge, EdgeKey, RoadNetwork
@@ -164,7 +165,9 @@ def build_subgraph(network: RoadNetwork, region: EllipseRegion,
 
     An edge stays when both side nodes are inside, or when one side node
     belongs to a candidate edge and that node is inside. A link is usable
-    end to end only when all of its edges stay.
+    end to end only when all of its edges stay. Only the edges in the
+    region's bbox and the links that own a kept edge are visited, so the
+    cost follows the bbox, not the size of the network.
     """
     candidate_points = set()
     for cand in list(start_candidates) + list(end_candidates):
@@ -181,9 +184,8 @@ def build_subgraph(network: RoadNetwork, region: EllipseRegion,
              (in_to and edge.to_point in candidate_points):
             kept.add(edge.key)
     usable = set()
-    for lid in network.link_ids:
-        link = network.link(lid)
-        if all(e.key in kept for e in link.edges):
+    for lid in {key[0] for key in kept}:
+        if all((lid, i) in kept for i in range(1, len(network.link(lid).edges) + 1)):
             usable.add(lid)
     return SubGraph(network, frozenset(kept), frozenset(usable))
 
@@ -263,7 +265,7 @@ class _SearchGraph:
         self.arc_payload.append(payload)
         self.adj.setdefault(src, []).append(arc)
 
-    def dijkstra(self, source, removed_arcs: set[int], removed_nodes: set) -> tuple[float, list[int]] | None:
+    def dijkstra(self, source, removed_arcs: Container[int], removed_nodes: set) -> tuple[float, list[int]] | None:
         """Cheapest arc path from ``source`` to the sink, or None."""
         heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
         parent: dict[object, tuple[object, int]] = {}
@@ -318,18 +320,17 @@ class _SearchGraph:
                 continue
             if kind == "start":
                 start = self.start_candidates[self.arc_payload[arc]]
-                link = net.link(start.edge.link_id)
-                link_ids.append(link.id)
-                edges.extend(e.key for e in link.edges[start.edge.index - 1:])
+                lid = start.edge.link_id
+                first, last = start.edge.index, len(net.link(lid).edges)
             elif kind == "link":
-                link = net.link(self.arc_payload[arc])
-                link_ids.append(link.id)
-                edges.extend(e.key for e in link.edges)
+                lid = self.arc_payload[arc]
+                first, last = 1, len(net.link(lid).edges)
             else:  # end
                 end = self.end_candidates[self.arc_payload[arc]]
-                link = net.link(end.edge.link_id)
-                link_ids.append(link.id)
-                edges.extend(e.key for e in link.edges[:end.edge.index])
+                lid = end.edge.link_id
+                first, last = 1, end.edge.index
+            link_ids.append(lid)
+            edges.extend(zip(repeat(lid), range(first, last + 1)))
         assert start is not None and end is not None
         length = math.fsum(self.arc_weight[a] for a in arcs)
         return CandidatePath(start, end, tuple(link_ids), tuple(edges), length)
@@ -370,22 +371,25 @@ def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]
     pool: list[tuple[float, int, tuple[int, ...], int]] = []
     seen = {tuple(first[1])}
     counter = 0
+    tree: dict[int, dict] = {}  # prefix tree of the selected paths, one level per arc
 
     while True:
         cost_p, arcs_p, dev_index = selected[-1]
+        branch = tree
+        for arc in arcs_p:
+            branch = branch.setdefault(arc, {})
         node_seq = graph.node_sequence(arcs_p)
         prefix_cost = 0.0
+        branch = tree
         for i in range(len(arcs_p) - 1):
             if i > 0:
                 prefix_cost += graph.arc_weight[arcs_p[i - 1]]
+                branch = branch[arcs_p[i - 1]]
             if i < dev_index:
                 continue  # Lawler: deviations before the parent's own spur are covered
             root = arcs_p[:i]
             spur_node = node_seq[i]
-            removed_arcs = set()
-            for _, arcs_q, _ in selected:
-                if arcs_q[:i] == root:
-                    removed_arcs.add(arcs_q[i])
+            removed_arcs = branch.keys()  # next arcs of the selected paths sharing the root
             removed_nodes = set(node_seq[:i])
             alternatives = [a for a in graph.adj.get(spur_node, ())
                             if a not in removed_arcs and graph.arc_dst[a] not in removed_nodes]

@@ -340,9 +340,19 @@ def test_downsample_infinite_interval_is_2(fleet, tmp_path, capsys):
     assert "interval" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--n-trajectories", "-1", "--cost-seconds", "2"],
+                                   ["--cost-seconds", "nan"]])
+def test_bad_evaluate_cost_is_2(fleet, capsys, flags):
+    assert main(["evaluate", "--pred", str(fleet / "matches.csv"),
+                 "--truth", str(fleet / "truth.csv"), *flags]) == 2
+    assert "--cost-seconds" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, name", [(["--interval", "0"], "interval"),
                                          (["--speed-min", "0", "--speed-max", "0"], "speed"),
-                                         (["--speed-min", "6", "--speed-max", "2"], "speed")])
+                                         (["--speed-min", "6", "--speed-max", "2"], "speed"),
+                                         (["--noise", "nan"], "noise"),
+                                         (["--noise", "-1"], "noise")])
 def test_bad_synth_setting_is_2(tmp_path, capsys, flags, name):
     assert main(["synth", "--out", str(tmp_path / "p.csv"), *flags]) == 2
     assert name in capsys.readouterr().err

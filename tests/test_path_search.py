@@ -113,6 +113,61 @@ class TestSubgraph:
         assert {(1, 1), (1, 2)} <= sub_with.edge_keys
         assert (1, 1) not in sub_without.edge_keys
 
+    def test_reads_only_links_with_an_edge_in_the_bbox(self, monkeypatch):
+        # a grid plus a far second component: the trim must not look at the
+        # far links at all, however many there are
+        nodes, links = _grid_4x4_rows()
+        nodes += [(100 + i, 20_000.0 + 300.0 * i, 0.0) for i in range(4)]
+        links += [(1000 + i, 100 + i, 101 + i, None, None) for i in range(3)]
+        net = build_network(nodes, links, split_length=100.0)
+        starts, ends = _single_candidates(net, _westmost_link(net), 30.0,
+                                          _find_link(net, 1, 2), 60.0)
+        region = ellipse_region(net_xy(net, 50.0, 0.0), net_xy(net, 500.0, 0.0),
+                                4.0, 4.0, 150.0)
+        in_bbox = {e.link_id for e in net.edges_in_bbox(*region.bbox())}
+        assert not in_bbox & {1000, 1001, 1002}
+        read = []
+        link = net.link
+        monkeypatch.setattr(net, "link", lambda lid: read.append(lid) or link(lid))
+        sub = build_subgraph(net, region, starts, ends)
+        assert sub.usable_links and set(read) <= in_bbox
+
+    def test_same_as_the_rule_applied_to_every_edge(self):
+        rng = np.random.default_rng(11)
+        exceptions = 0
+        for _ in range(40):
+            net, _, starts, ends = _random_instance(rng)
+            # foci at candidate projections, as in matching, so candidate
+            # edges often cross the boundary
+            foci = [(c.x, c.y) for c in starts + ends]
+            i, j = rng.integers(0, len(foci), size=2)
+            region = ellipse_region(foci[i], foci[j], float(rng.uniform(1.0, 30.0)), 0.0, 60.0)
+            starts = starts[:int(rng.integers(0, len(starts) + 1))]
+            ends = ends[:int(rng.integers(0, len(ends) + 1))]
+            sub = build_subgraph(net, region, starts, ends)
+            keys, usable = _trim_every_edge(net, region, starts, ends)
+            assert sub.edge_keys == keys
+            assert sub.usable_links == usable
+            edges = [net.edge(key) for key in keys]
+            exceptions += sum(1 for e in edges if not (region.contains(e.x0, e.y0)
+                                                       and region.contains(e.x1, e.y1)))
+        assert exceptions > 0
+
+
+def _trim_every_edge(net, region, starts, ends):
+    """The build_subgraph rule applied to every edge of the network."""
+    points = {p for c in starts + ends for p in (c.edge.from_point, c.edge.to_point)}
+    keys = set()
+    for edge in net.iter_edges():
+        in_from = region.contains(edge.x0, edge.y0)
+        in_to = region.contains(edge.x1, edge.y1)
+        if (in_from and in_to) or (in_from and edge.from_point in points) \
+                or (in_to and edge.to_point in points):
+            keys.add(edge.key)
+    usable = {lid for lid in net.link_ids
+              if all(e.key in keys for e in net.link(lid).edges)}
+    return keys, usable
+
 
 def _single_candidates(net, start_key, start_off, end_key, end_off):
     return ([carried_candidate(net, start_key, start_off)],
@@ -162,13 +217,15 @@ class TestKShortest:
         assert candidate_path_budget(60.0) == 6
 
     def test_grid_matches_brute_force(self):
+        # the uniform grid is full of exact ties, so across these budgets the
+        # cut falls inside and at the edge of tie classes of every size
         net = _grid_4x4()
         sub = SubGraph.whole(net)
         starts, ends = _single_candidates(net, _westmost_link(net), 30.0,
                                           _eastmost_link(net), 60.0)
-        got = k_shortest_paths(sub, starts, ends, 8)
-        expected = enumerate_candidate_paths(sub, starts, ends, budget=8)
-        assert_same_paths(got, expected)
+        full = enumerate_candidate_paths(sub, starts, ends)
+        for budget in range(1, 13):
+            assert_same_paths(k_shortest_paths(sub, starts, ends, budget), full[:budget])
 
     def test_random_graphs_match_brute_force(self):
         rng = np.random.default_rng(42)
@@ -240,6 +297,10 @@ class TestKShortest:
 
 
 def _grid_4x4():
+    return build_network(*_grid_4x4_rows(), split_length=100.0)
+
+
+def _grid_4x4_rows():
     nodes = []
     for r in range(4):
         for c in range(4):
@@ -255,7 +316,7 @@ def _grid_4x4():
             if r + 1 < 4:
                 links.append((lid, nid, nid + 4, 300.0, None)); lid += 1
                 links.append((lid, nid + 4, nid, 300.0, None)); lid += 1
-    return build_network(nodes, links, split_length=100.0)
+    return nodes, links
 
 
 def _find_link(net, from_node, to_node):

@@ -149,6 +149,11 @@ class TestIndices:
         with pytest.raises(ValueError):
             cost_index([1.0], 0)
 
+    @pytest.mark.parametrize("seconds", [math.nan, math.inf, -1.0])
+    def test_cost_rejects_non_finite_or_negative_time(self, seconds):
+        with pytest.raises(ValueError, match="wall times"):
+            cost_index([1.0, seconds], 2)
+
     def test_indices_are_pure(self):
         truth = dict([_row("a", 0, 0.0, (1, 1)),
                       _row("a", 1, 30.0, (1, 2), ((1, 1), (1, 2)))])
