@@ -19,7 +19,8 @@ from typing import Sequence
 from . import calibration as cal
 from .evaluate import EmptyResultError, cost_index, evaluate_rows
 from .history import HistoryStore, Trajectory, load_probes_csv, split_trips, write_probes_csv
-from .matcher import MatcherConfig, MatchSession, read_match_csv, write_match_csv
+from .matcher import (MatcherConfig, MatchSession, match_record, read_match_csv,
+                      write_match_csv)
 from .network import InputFormatError, load_network_csv, save_network_csv
 from .path_search import line_feature
 from .scoring import FusionWeights
@@ -320,8 +321,8 @@ def _cmd_calibrate(args) -> int:
                 continue
             source_times = [p.t for p in traj.probes]
             idx_of = {round(t, 6): i for i, t in enumerate(source_times)}
-            rec, collected = session.match_trajectory(thin, collect=True)
-            for seg_end, outcome in collected:
+            outcomes = list(session.segment_outcomes(thin))
+            for seg_end, outcome in outcomes:
                 a = idx_of[round(thin.probes[seg_end - 1].t, 6)]
                 b = idx_of[round(thin.probes[seg_end].t, 6)]
                 truth_edges: set = set()
@@ -338,7 +339,7 @@ def _cmd_calibrate(args) -> int:
                     y = cal.path_accuracy(cand.edges, tuple(truth_edges))
                     samples.append(cal.CalibrationSample(
                         sv.kinematic / 100.0, sv.habit / 100.0, sv.traffic / 100.0, y))
-            session.feed_back(rec)
+            session.feed_back(match_record(thin, outcomes))
     if args.samples_out:
         cal.write_samples_csv(args.samples_out, samples)
     if len(samples) < 30:

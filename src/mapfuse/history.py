@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import math
 import statistics
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
@@ -159,17 +161,31 @@ class _StoredTrip:
     y1: float
 
 
+_KEY = itemgetter(0)
+
+
+def _starting_in(order: list[tuple[float, _StoredTrip]], lo: float,
+                 hi: float) -> list[tuple[float, _StoredTrip]]:
+    """The entries of a start-sorted list whose key lies in [lo, hi]."""
+    return order[bisect_left(order, lo, key=_KEY):bisect_right(order, hi, key=_KEY)]
+
+
 class HistoryStore:
     """Append-only store of finished match records plus lookup indices.
 
-    Writes go through :meth:`record_match` under a single-writer contract;
-    reads see whatever has been recorded so far.
+    Trips are kept sorted by start time twice, by absolute time and by time
+    of day, so the collaborative-group lookup reads only the trips whose
+    start falls in its temporal window: its cost follows that window, not
+    the size of the store. Writes go through :meth:`record_match` under a
+    single-writer contract; reads see whatever has been recorded so far.
     """
 
     def __init__(self, network: RoadNetwork):
         self.network = network
         self._trips: dict[str, _StoredTrip] = {}
         self._by_vehicle: dict[str, list[str]] = {}
+        self._by_start: list[tuple[float, _StoredTrip]] = []
+        self._by_time_of_day: list[tuple[float, _StoredTrip]] = []
 
     def __len__(self) -> int:
         return len(self._trips)
@@ -192,8 +208,11 @@ class HistoryStore:
         proj = self.network.projector
         x0, y0 = proj.to_plane(*record.start_lonlat)
         x1, y1 = proj.to_plane(*record.end_lonlat)
-        self._trips[record.trajectory_id] = _StoredTrip(record, counts, x0, y0, x1, y1)
+        trip = _StoredTrip(record, counts, x0, y0, x1, y1)
+        self._trips[record.trajectory_id] = trip
         self._by_vehicle.setdefault(record.vehicle, []).append(record.trajectory_id)
+        insort(self._by_start, (record.t0, trip), key=_KEY)
+        insort(self._by_time_of_day, (record.t0 % DAY_SECONDS, trip), key=_KEY)
 
     def records(self) -> list[MatchRecord]:
         return [self._trips[tid].record for tid in sorted(self._trips)]
@@ -215,10 +234,25 @@ class HistoryStore:
         """Finished trips whose endpoints and times sit near the ego trip's.
 
         Time comparison defaults to time-of-day because habits repeat daily;
-        ``temporal_mode="absolute"`` restores plain timestamp distance.
+        ``temporal_mode="absolute"`` restores plain timestamp distance. Only
+        the trips whose start lies within ``temporal_radius`` of the ego's
+        start are read; in time-of-day mode that window wraps at midnight.
         """
         if temporal_mode not in ("time-of-day", "absolute"):
             raise ValueError(f"unknown temporal mode {temporal_mode!r}")
+        t0 = trajectory.t0
+        # a margin far above the rounding of the window's bounds keeps every
+        # trip the tests below accept; they alone decide membership
+        reach = temporal_radius + 1e-12 * (abs(t0) + abs(temporal_radius) + DAY_SECONDS)
+        if temporal_mode == "absolute":
+            window = _starting_in(self._by_start, t0 - reach, t0 + reach)
+        elif temporal_radius < DAY_SECONDS / 2:
+            key = t0 % DAY_SECONDS
+            window = [entry for shift in (-DAY_SECONDS, 0.0, DAY_SECONDS)
+                      for entry in _starting_in(self._by_time_of_day, key + shift - reach,
+                                                key + shift + reach)]
+        else:
+            window = self._by_time_of_day  # the window covers the whole day
         proj = self.network.projector
         sx, sy = proj.to_plane(trajectory.start.lon, trajectory.start.lat)
         ex, ey = proj.to_plane(trajectory.end.lon, trajectory.end.lat)
@@ -229,7 +263,7 @@ class HistoryStore:
             return time_of_day_delta(a, b)
 
         group = set()
-        for tid, trip in self._trips.items():
+        for _, trip in window:
             rec = trip.record
             if rec.t_end > trajectory.t0:
                 continue  # only history that existed before the trip started
@@ -241,7 +275,7 @@ class HistoryStore:
                 continue
             if tdist(rec.t_end, trajectory.t_end) > temporal_radius:
                 continue
-            group.add(tid)
+            group.add(rec.trajectory_id)
         return group
 
     def collaboration_context(self, trajectory: Trajectory, spatial_radius: float,
@@ -307,7 +341,7 @@ class HistoryStore:
                     if not known.issuperset(seg or ()) or (edge and edge not in known):
                         bad = next(k for k in (*(seg or ()), edge) if k not in known)
                         raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
-                                               f"edge {bad} is not in the network")
+                                               f"edge {bad} is not in {self.network.links_name}")
                     per_trip.setdefault(tid, {})[idx] = (edge, seg)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -226,9 +226,12 @@ class MatchSession:
         idx, best = select_path(list(zip(paths, finals)))
         return SegmentOutcome(best, vectors[idx], finals[idx], paths, vectors)
 
-    def match_trajectory(self, trajectory: Trajectory, *,
-                         collect: bool = False) -> MatchRecord | tuple[MatchRecord, list]:
-        """Match every probe pair of a trajectory in time order.
+    def match_trajectory(self, trajectory: Trajectory) -> MatchRecord:
+        """Match every probe pair of a trajectory in time order."""
+        return match_record(trajectory, self.segment_outcomes(trajectory))
+
+    def segment_outcomes(self, trajectory: Trajectory) -> Iterator[tuple[int, SegmentOutcome]]:
+        """Each matched segment's outcome with the index of its end probe, in time order.
 
         Unmatched gaps restart the candidate search at the next probe; the
         gap is reported, never interpolated.
@@ -237,7 +240,6 @@ class MatchSession:
             raise ValueError("trajectory needs at least 2 probes")
         cfg = self.config
         probes = trajectory.probes
-        n = len(probes)
         collab = None
         if cfg.use_habit:
             collab = self.history.collaboration_context(
@@ -245,43 +247,17 @@ class MatchSession:
                 cfg.neighbor_weight, temporal_mode=cfg.temporal_mode)
         budget = candidate_path_budget(trajectory.probing_interval, cfg.k_floor, cfg.k_cap)
 
-        matched: list[EdgeKey | None] = [None] * n
-        paths: list[tuple[EdgeKey, ...] | None] = [None] * n
-        collected: list[tuple[int, SegmentOutcome]] = []
-
         carried = self.match_first_probe(probes[0])
-        anchor = 0 if carried else None
-        for i in range(1, n):
-            if not carried:
-                carried = self.match_first_probe(probes[i])
-                anchor = i if carried else None
-                continue
-            outcome = self.match_segment(probes[i - 1], probes[i], carried, collab,
-                                         budget, label=f"{trajectory.id}_{i}")
-            if outcome is None:
-                carried = self.match_first_probe(probes[i])
-                anchor = i if carried else None
-                continue
-            paths[i] = outcome.path.edges
-            matched[i] = outcome.path.end_edge
-            if anchor is not None and matched[anchor] is None:
-                matched[anchor] = outcome.path.start.edge.key
-            carried = [carried_candidate(self.network, outcome.path.end_edge,
-                                         outcome.path.end.offset)]
-            anchor = i
-            if collect:
-                collected.append((i, outcome))
-
-        record = MatchRecord(
-            trajectory_id=trajectory.id, vehicle=trajectory.vehicle,
-            probe_times=tuple(p.t for p in probes),
-            matched_edges=tuple(matched), paths=tuple(paths),
-            start_lonlat=(probes[0].lon, probes[0].lat),
-            end_lonlat=(probes[-1].lon, probes[-1].lat),
-            t0=trajectory.t0, t_end=trajectory.t_end)
-        if collect:
-            return record, collected
-        return record
+        for i in range(1, len(probes)):
+            if carried:
+                outcome = self.match_segment(probes[i - 1], probes[i], carried, collab,
+                                             budget, label=f"{trajectory.id}_{i}")
+                if outcome is not None:
+                    yield i, outcome
+                    carried = [carried_candidate(self.network, outcome.path.end_edge,
+                                                 outcome.path.end.offset)]
+                    continue
+            carried = self.match_first_probe(probes[i])
 
     def _dump_debug(self, label: str, sub, paths) -> None:
         import json
@@ -343,6 +319,26 @@ class MatchSession:
         process_group(group)
         self._flush_pending()
         return out
+
+
+def match_record(trajectory: Trajectory,
+                 outcomes: Iterable[tuple[int, SegmentOutcome]]) -> MatchRecord:
+    """The record of a trajectory from its :meth:`MatchSession.segment_outcomes`."""
+    probes = trajectory.probes
+    matched: list[EdgeKey | None] = [None] * len(probes)
+    paths: list[tuple[EdgeKey, ...] | None] = [None] * len(probes)
+    for i, outcome in outcomes:
+        paths[i] = outcome.path.edges
+        matched[i] = outcome.path.end_edge
+        if matched[i - 1] is None:  # the first segment after a gap also matches its start
+            matched[i - 1] = outcome.path.start.edge.key
+    return MatchRecord(
+        trajectory_id=trajectory.id, vehicle=trajectory.vehicle,
+        probe_times=tuple(p.t for p in probes),
+        matched_edges=tuple(matched), paths=tuple(paths),
+        start_lonlat=(probes[0].lon, probes[0].lat),
+        end_lonlat=(probes[-1].lon, probes[-1].lat),
+        t0=trajectory.t0, t_end=trajectory.t_end)
 
 
 # -- output files -------------------------------------------------------------

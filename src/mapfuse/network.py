@@ -135,11 +135,13 @@ class RoadNetwork:
     """
 
     def __init__(self, nodes: Mapping[int, Node], links: Mapping[int, Link],
-                 projector: PlanarProjector, split_length: float):
+                 projector: PlanarProjector, split_length: float,
+                 links_name: str = "the link table"):
         self.nodes = dict(nodes)
         self.links = dict(links)
         self.projector = projector
         self.split_length = split_length
+        self.links_name = links_name  # names the link source in errors about other files
         self.link_ids: tuple[int, ...] = tuple(sorted(self.links))
         self._link_row = {lid: i for i, lid in enumerate(self.link_ids)}
         grid_cell = max(2.0 * split_length, 100.0)
@@ -336,7 +338,8 @@ class _NetworkBuilder:
             self._project_nodes()
         if not self.links:
             raise InputFormatError(f"no links in {self.links_name}")
-        return RoadNetwork(self.nodes, self.links, self.projector, self.split_length)
+        return RoadNetwork(self.nodes, self.links, self.projector, self.split_length,
+                           self.links_name)
 
 
 def load_network(nodes_table: Iterable[tuple], links_table: Iterable[tuple],

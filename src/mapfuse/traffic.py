@@ -361,7 +361,10 @@ def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
         x = float(rec["X"])
         if not math.isfinite(x):
             raise ValueError(f"non-finite X {x}")
-        return int(rec["interval_j"]), network.link_row(int(rec["link_id"])), x
+        link_id = int(rec["link_id"])
+        if link_id not in network.links:
+            raise ValueError(f"link {link_id} is not in {network.links_name}")
+        return int(rec["interval_j"]), network.link_row(link_id), x
 
     rows: dict[int, np.ndarray] = {}
     for j, row, x in _read_csv(path, ("interval_j", "link_id", "X"), convert):

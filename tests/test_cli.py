@@ -253,12 +253,17 @@ def _reader_argv(d, name, path):
     if name == "states.csv":
         return ["train-predictor", *network, "--states", files["states.csv"],
                 "--out", str(d / "model-out.json"), "--max-steps", "2", "--epochs", "20"]
-    # a network file that lost a link makes the clean history log the one that
-    # disagrees with it, and the log's error names the log; so the network runs cold
-    warm = ([] if name in ("nodes.csv", "links.csv") else
-            ["--history-log", files["history.log"], "--history-probes", str(d / "probes.csv")])
-    return ["match", *network, "--probes", files["probes.csv"], *warm,
+    return ["match", *network, "--probes", files["probes.csv"],
+            "--history-log", files["history.log"], "--history-probes", str(d / "probes.csv"),
             "--out", str(d / "match-out.csv")]
+
+
+def _links_without_first_logged(d):
+    """The fleet's links file without the first link its history log names."""
+    edges = (line.split("|")[2] for line in (d / "history.log").read_text().splitlines())
+    logged = next(edge for edge in edges if edge).split(":")[0]
+    lines = (d / "links.csv").read_text().splitlines()
+    return ("\n".join(line for line in lines if line.split(",")[0] != logged) + "\n").encode()
 
 
 def _log_with(fleet, edit):
@@ -290,6 +295,7 @@ _BAD_INPUTS = {
         t, i, seg[0], ";".join(reversed(seg))))),
     "history_end_edge_mismatch": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
         t, i, seg[0], ";".join(seg)))),
+    "links_lost_a_logged_link": ("links.csv", _links_without_first_logged),
     "history_probe_out_of_range": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
         t, "99", e, ";".join(seg)))),
 }
@@ -318,6 +324,16 @@ class TestBadInputFiles:
         bad.write_text("\n".join(lines) + "\n")
         assert main(_reader_argv(fleet, name, bad)) == 2
         assert f"{bad}:3: " in capsys.readouterr().err
+
+
+def test_state_log_link_missing_from_links_names_both(fleet, tmp_path, capsys):
+    links = tmp_path / "short-links.csv"
+    links.write_bytes(_links_without_first_logged(fleet))
+    argv = _reader_argv(fleet, "states.csv", fleet / "states.csv")
+    argv[argv.index("--links") + 1] = str(links)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "states.csv:" in err and str(links) in err
 
 
 @pytest.mark.parametrize("argv, name", [

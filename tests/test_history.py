@@ -1,10 +1,12 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mapfuse.history import (DAY_SECONDS, HistoryStore, MatchRecord, Probe, Trajectory,
-                             format_edges, load_probes_csv, parse_edges, split_trips,
-                             time_of_day_delta, write_probes_csv)
+                             _StoredTrip, format_edges, load_probes_csv, parse_edges,
+                             split_trips, time_of_day_delta, write_probes_csv)
 
 
 def _lonlat(net, x, y):
@@ -117,6 +119,119 @@ class TestCollaborativeGroup:
                 store.record_match(rec)
             groups.append(store.collaborative_group(traj, 300.0, 5.0))
         assert groups[0] == groups[1]
+
+
+def _scan_group(net, records, traj, spatial_radius, temporal_radius, temporal_mode):
+    """The group rule applied to every record in turn: the reference for the indexed lookup."""
+    def far(a, b):
+        (ax, ay), (bx, by) = net.projector.to_plane(*a), net.projector.to_plane(*b)
+        return math.hypot(ax - bx, ay - by) > spatial_radius
+
+    def late(a, b):
+        gap = abs(a - b) if temporal_mode == "absolute" else time_of_day_delta(a, b)
+        return gap > temporal_radius
+
+    start, end = (traj.start.lon, traj.start.lat), (traj.end.lon, traj.end.lat)
+    return {rec.trajectory_id for rec in records
+            if not (rec.t_end > traj.t0 or far(rec.start_lonlat, start)
+                    or late(rec.t0, traj.t0) or far(rec.end_lonlat, end)
+                    or late(rec.t_end, traj.t_end))}
+
+
+# starts near midnight of several days, negative ones included; few values, so repeats
+_DAYS = (-2 * DAY_SECONDS, -DAY_SECONDS, 0.0, DAY_SECONDS, 19_700 * DAY_SECONDS)
+_OFFSETS = (0.0, -0.0, -1e-20, 1e-9, -1e-9, 2.5, -2.5, 5.0, -5.0, 60.0, 43_200.0, -43_199.0)
+_times = st.builds(lambda day, offset: day + offset, st.sampled_from(_DAYS),
+                   st.one_of(st.sampled_from(_OFFSETS),
+                             st.floats(-DAY_SECONDS, DAY_SECONDS, allow_nan=False)))
+_RADII = (0.0, 2.5, 5.0, 43_199.9, 43_200.0, 50_000.0, math.inf, math.nan)
+_durations = st.sampled_from((0.5, 2.5, 5.0, 60.0))
+# the third and fourth lie 300.5 m from the first two, beyond the 300 m radius
+_points = st.sampled_from(((10.0, 0.0), (110.0, 0.0), (410.5, 0.0), (10.0, 300.5)))
+
+
+def _nudge(t, ulps):
+    for _ in range(abs(ulps)):
+        t = math.nextafter(t, math.copysign(math.inf, ulps))
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), temporal_mode=st.sampled_from(("time-of-day", "absolute")))
+def test_group_is_the_scan_rule(data, temporal_mode):
+    from conftest import build_network
+    radius = data.draw(st.one_of(st.sampled_from(_RADII), st.floats(0.0, 600.0),
+                                 st.floats(0.0, 2 * DAY_SECONDS)))
+    ego_t0, ego_duration, ego_start, ego_end = data.draw(
+        st.tuples(_times, _durations, _points, _points))
+    # mostly starts on either edge of the ego's window on the same or an
+    # earlier day, a few units in the last place either way, and the ego's ends
+    edge = st.builds(lambda day, sign, ulps: _nudge(ego_t0 + day + sign * radius, ulps),
+                     st.sampled_from((-2 * DAY_SECONDS, -DAY_SECONDS, 0.0)),
+                     st.sampled_from((-1.0, 1.0)), st.integers(-3, 3)).filter(math.isfinite)
+    trips = data.draw(st.lists(st.tuples(
+        st.one_of(edge, edge, _times), st.one_of(st.just(ego_duration), _durations),
+        st.one_of(st.just(ego_start), st.just(ego_start), _points),
+        st.one_of(st.just(ego_end), st.just(ego_end), _points)), min_size=1, max_size=25))
+    net = build_network([(0, 0.0, 0.0), (1, 200.0, 0.0)], [(0, 0, 1, 200.0, None)])
+    store = HistoryStore(net)
+    records = [_record(net, f"n{k}-0", f"n{k}", ((0, 1), (0, 2)), t0=t0, t_end=t0 + duration,
+                       start_xy=start, end_xy=end)
+               for k, (t0, duration, start, end) in enumerate(trips)]
+    for rec in records:
+        store.record_match(rec)
+    traj = _trajectory(net, "j", "ego", t0=ego_t0, t_end=ego_t0 + ego_duration,
+                       start_xy=ego_start, end_xy=ego_end)
+    assert store.collaborative_group(traj, 300.0, radius, temporal_mode=temporal_mode) == \
+        _scan_group(net, records, traj, 300.0, radius, temporal_mode)
+
+
+@pytest.mark.parametrize("temporal_mode, ego_t0, duration, rec_t0", [
+    ("absolute", 4.329162006958445, 2.5, -0.6708379930415557),
+    ("time-of-day", 8.217187823018016, 5.0, 3.217187823018015),
+])
+def test_group_keeps_a_start_that_rounds_past_the_window_edge(chain_network, temporal_mode,
+                                                              ego_t0, duration, rec_t0):
+    # the start lies a rounding error outside ego_t0 +- 5 s, yet its rounded
+    # time distance is exactly 5 s, so the scan rule takes it
+    rec = _record(chain_network, "n0-0", "n0", ((0, 1), (0, 2)), t0=rec_t0,
+                  t_end=rec_t0 + duration)
+    store = HistoryStore(chain_network)
+    store.record_match(rec)
+    traj = _trajectory(chain_network, "j", "ego", t0=ego_t0, t_end=ego_t0 + duration)
+    assert _scan_group(chain_network, [rec], traj, 300.0, 5.0, temporal_mode) == {"n0-0"}
+    assert store.collaborative_group(traj, 300.0, 5.0, temporal_mode=temporal_mode) == {"n0-0"}
+
+
+@pytest.mark.parametrize("temporal_mode, day, expected", [
+    ("time-of-day", 3, {"n5000-0", "n5001-0"}),
+    ("absolute", 0, {"n5000-0"}),  # n5001-0 is still under way when the ego starts
+])
+def test_group_reads_only_trips_starting_in_the_window(chain_network, temporal_mode, day,
+                                                        expected):
+    # 10,000 trips spread over day 0, one every 8.64 s; a 5 s radius holds about one
+    store = HistoryStore(chain_network)
+    for k in range(10_000):
+        t0 = k * DAY_SECONDS / 10_000
+        store.record_match(_record(chain_network, f"n{k}-0", f"n{k}", ((0, 1), (0, 2)),
+                                   t0=t0, t_end=t0 + 4.0))
+    traj = _trajectory(chain_network, "j", "ego", t0=day * DAY_SECONDS + 43_204.3,
+                       t_end=day * DAY_SECONDS + 43_208.3)
+    in_window = {rec.trajectory_id for rec in store.records()
+                 if time_of_day_delta(rec.t0, traj.t0) <= 5.0}
+    assert in_window == {"n5000-0", "n5001-0"}
+    read = set()
+
+    class Spy(_StoredTrip):
+        def __getattribute__(self, name):
+            read.add(object.__getattribute__(self, "record").trajectory_id)
+            return object.__getattribute__(self, name)
+
+    for trip in store._trips.values():
+        trip.__class__ = Spy
+    group = store.collaborative_group(traj, 300.0, 5.0, temporal_mode=temporal_mode)
+    assert group <= read <= in_window
+    assert group == expected
 
 
 def _path_frequency(store, traj, path, neighbor_weight=1.0):
