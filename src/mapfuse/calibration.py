@@ -18,7 +18,7 @@ import numpy as np
 
 from .history import Trajectory
 from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
-from .path_search import CandidatePath, SubGraph, candidates_for_probe, k_shortest_paths
+from .path_search import CandidatePath, SubGraph, find_candidate_edges, k_shortest_paths
 from .scoring import FusionWeights
 
 log = logging.getLogger(__name__)
@@ -45,13 +45,17 @@ def ground_truth_paths(trajectory: Trajectory, network: RoadNetwork, *,
     safe stand-in for the real route. Unreachable pairs are skipped with a
     log line; the returned index is the segment's end-probe position.
     """
+    def candidates(probe):
+        x, y = network.projector.to_plane(probe.lon, probe.lat)
+        return find_candidate_edges(x, y, probe.bearing, network, radius)
+
     whole = SubGraph.whole(network)
     out: list[tuple[int, CandidatePath | None]] = []
     prev_cands = None
     for i in range(1, len(trajectory.probes)):
         if prev_cands is None:
-            prev_cands = candidates_for_probe(trajectory.probes[i - 1], network, radius)
-        cur_cands = candidates_for_probe(trajectory.probes[i], network, radius)
+            prev_cands = candidates(trajectory.probes[i - 1])
+        cur_cands = candidates(trajectory.probes[i])
         if not prev_cands or not cur_cands:
             log.info("trajectory %s: no candidate edge around probe %d", trajectory.id, i)
             out.append((i, None))

@@ -33,7 +33,7 @@ _DEFAULTS = MatcherConfig()
 
 # Every setting a flag or the config file can give, with its flag help. The
 # flag is the key with dashes. Pipeline settings take their defaults and
-# range checks from MatcherConfig; only judges and jobs belong to the CLI.
+# range checks from MatcherConfig; only judges belong to the CLI.
 _CONFIG_KEYS = {
     "split_length": "edge split length, m",
     "radius": "probe vicinity radius, m",
@@ -50,12 +50,11 @@ _CONFIG_KEYS = {
     "trip_gap": "probe gap that splits trips, s",
     "predictor": "traffic predictor: none, naive or spectral",
     "judges": "comma list of kinematic,habit,traffic",
-    "jobs": "worker threads",
 }
 _RENAMED = {"radius": "vicinity_radius", "collab_spatial": "collab_spatial_radius",
             "collab_temporal": "collab_temporal_radius"}
 _JUDGES = ("kinematic", "habit", "traffic")
-_CLI_DEFAULTS = {"judges": ",".join(_JUDGES), "jobs": 1}
+_CLI_DEFAULTS = {"judges": ",".join(_JUDGES)}
 
 
 def _load_config(path: str | None) -> dict:
@@ -89,8 +88,7 @@ def _add_setting_flag(p: argparse.ArgumentParser, key: str) -> None:
 def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config mirroring these flags (flags win)")
     for key in _CONFIG_KEYS:
-        if key != "jobs":
-            _add_setting_flag(p, key)
+        _add_setting_flag(p, key)
 
 
 def _user_settings(args, config: dict) -> dict:
@@ -170,7 +168,6 @@ def _cmd_match(args) -> int:
     config = _load_config(args.config)
     weights = _resolve_weights(args, config)
     mcfg = _build_matcher_config(args, config, weights=weights)
-    jobs = _cast(_user_settings(args, config), "jobs")
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     trajectories = _load_trajectories(args.probes, mcfg.trip_gap)
     if not trajectories:
@@ -193,7 +190,7 @@ def _cmd_match(args) -> int:
     if args.debug_dir:
         session.debug_dir = args.debug_dir
     t_start = time.perf_counter()
-    records = session.run(trajectories, jobs=jobs)
+    records = session.run(trajectories)
     elapsed = time.perf_counter() - t_start
     write_match_csv(args.out, records)
 
@@ -309,12 +306,13 @@ def _cmd_calibrate(args) -> int:
     with _input_errors("--intervals: "):
         intervals = [float(v) for v in args.intervals.split(",") if v]
 
+    # the truth depends only on the full-rate trip, so every interval shares it
+    anchors = [(traj, dict(cal.ground_truth_paths(traj, network, radius=mcfg.vicinity_radius)))
+               for traj in sorted(trajectories, key=lambda t: (t.t0, t.id))]
     samples = []
     for interval in intervals:
         session = MatchSession(network, mcfg)
-        for traj in sorted(trajectories, key=lambda t: (t.t0, t.id)):
-            truth_paths = cal.ground_truth_paths(traj, network, radius=mcfg.vicinity_radius)
-            truth_by_idx = {i: p for i, p in truth_paths}
+        for traj, truth_by_idx in anchors:
             with _input_errors("--intervals: "):
                 thin = cal.downsample(traj, interval)
             if len(thin.probes) < 2:
@@ -383,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geojson-dir", dest="geojson_dir")
     p.add_argument("--debug-dir", dest="debug_dir",
                    help="dump per-segment subgraph and candidate paths as GeoJSON")
-    _add_setting_flag(p, "jobs")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_match)
 

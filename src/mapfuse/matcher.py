@@ -8,8 +8,8 @@ boundaries, so a trajectory never sees its own in-flight results.
 """
 from __future__ import annotations
 
+import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -162,7 +162,6 @@ class MatchSession:
         model = predictor_model if self.config.predictor == "spectral" else None
         self.traffic = TrafficLedger(network, self.config.traffic_config(), model)
         self.debug_dir: str | None = None  # dump per-segment subgraph/path GeoJSON
-        self._pending: list[MatchRecord] = []
         if history is not None:
             for record in history.records():
                 self.traffic.add_locations(record.matched_locations())
@@ -274,50 +273,28 @@ class MatchSession:
 
     # -- batch driver ----------------------------------------------------------
 
-    def _flush_pending(self) -> None:
-        for record in self._pending:
-            self.feed_back(record)
-        self._pending.clear()
-
     def run(self, trajectories: Iterable[Trajectory], *, jobs: int = 1,
             feedback: bool = True) -> list[MatchRecord]:
         """Match trajectories in start-time order with interval barriers.
 
-        Records complete within one update interval are applied together
-        before the next interval's trajectories start, so results do not
-        depend on intra-interval ordering and parallel workers see a stable
-        snapshot.
+        Trajectories are grouped by the update interval their start falls
+        in. A group is matched against the history and traffic state left by
+        the groups before it; with ``feedback`` its records are then written
+        back before the next group starts. So no trajectory sees a result of
+        its own group, and results do not depend on the order of trajectories
+        within an interval. ``jobs`` must be 1: matching runs on one thread.
         """
+        if jobs != 1:
+            raise ValueError(f"jobs must be 1, got {jobs}")
+        interval = self.config.update_interval
         ordered = sorted(trajectories, key=lambda tr: (tr.t0, tr.id))
         out: list[MatchRecord] = []
-        interval = self.config.update_interval
-        group: list[Trajectory] = []
-        group_epoch: int | None = None
-
-        def process_group(batch: list[Trajectory]) -> None:
-            if not batch:
-                return
-            self._flush_pending()
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    records = list(pool.map(self.match_trajectory, batch))
-            else:
-                records = [self.match_trajectory(t) for t in batch]
+        for _, group in itertools.groupby(ordered, key=lambda tr: math.floor(tr.t0 / interval)):
+            records = [self.match_trajectory(traj) for traj in group]
             out.extend(records)
             if feedback:
-                self._pending.extend(records)
-
-        for traj in ordered:
-            epoch = math.floor(traj.t0 / interval)
-            if group_epoch is None or epoch == group_epoch:
-                group_epoch = epoch
-                group.append(traj)
-            else:
-                process_group(group)
-                group = [traj]
-                group_epoch = epoch
-        process_group(group)
-        self._flush_pending()
+                for record in records:
+                    self.feed_back(record)
         return out
 
 

@@ -99,12 +99,6 @@ def find_candidate_edges(x: float, y: float, bearing: float,
     return out
 
 
-def candidates_for_probe(probe, network: RoadNetwork, radius: float) -> list[CandidateEdge]:
-    """`find_candidate_edges` for a lon/lat probe."""
-    x, y = network.projector.to_plane(probe.lon, probe.lat)
-    return find_candidate_edges(x, y, probe.bearing, network, radius)
-
-
 @dataclass(frozen=True)
 class EllipseRegion:
     """Reachable region between two probes: foci plus long-axis length."""

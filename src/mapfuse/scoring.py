@@ -15,10 +15,6 @@ from .network import RoadNetwork
 from .path_search import CandidatePath
 
 
-class UnmatchedSegment(Exception):
-    """No candidate path survived for a probe pair."""
-
-
 @dataclass(frozen=True)
 class ScoreVector:
     """Per-path judge scores, each in [0, 100]."""
@@ -152,7 +148,7 @@ def select_path(scored: Sequence[tuple[CandidatePath, float]]) -> tuple[int, Can
     Ties go to the shorter path, then to lexicographically smaller edge ids.
     """
     if not scored:
-        raise UnmatchedSegment("empty candidate set")
+        raise ValueError("empty candidate set")
     best_i = min(range(len(scored)),
                  key=lambda i: (-scored[i][1],) + scored[i][0].sort_key)
     return best_i, scored[best_i][0]

@@ -163,7 +163,7 @@ class TestExitCodes:
         (["--trip-gap", "nan"], {}, "trip_gap"),
         (["--k-cap", "2"], {}, "k_cap"),
         (["--judges", ","], {}, "judge"),
-        ([], {"jobs": "x"}, "jobs"),
+        ([], {"jobs": 1}, "jobs"),
         ([], {"k_floor": float("inf")}, "k_floor"),
         ([], {"radius": None}, "radius"),
     ])
@@ -177,6 +177,19 @@ class TestExitCodes:
                      "--config", str(workdir / "cfg.json"), *flags])
         assert code == 2
         assert name in capsys.readouterr().err
+
+    def test_jobs_setting_is_gone(self, workdir, capsys):
+        _synth(workdir)
+        argv = ["match", "--nodes", str(workdir / "nodes.csv"),
+                "--links", str(workdir / "links.csv"),
+                "--probes", str(workdir / "probes.csv"),
+                "--out", str(workdir / "out.csv")]
+        (workdir / "cfg.json").write_text(json.dumps({"jobs": 1}))
+        assert main([*argv, "--config", str(workdir / "cfg.json")]) == 2
+        assert "unknown config keys ['jobs']" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--jobs", "2"])
+        assert exc.value.code == 2
 
     def test_config_not_an_object_is_2(self, workdir, capsys):
         _synth(workdir)

@@ -168,20 +168,52 @@ class TestSessionFeedback:
         assert len(session.history) == len(records)
         assert session.traffic.observed_states()
 
-    def test_jobs_do_not_change_output(self, tmp_path):
+    @staticmethod
+    def _fleet():
         net = make_grid_network(5, 5, spacing=200.0)
         fleet = generate_synthetic(net, 4, 1.0, False, 30.0, 5.0, seed=9,
                                    trips_per_vehicle=2, min_route_duration=150.0,
                                    trip_spacing=1200.0)
-        starts = [t.t0 for t in fleet.trajectories]
-        assert max(starts) - min(starts) >= 2 * MatcherConfig().update_interval
-        outputs = []
-        for jobs in (1, 2):
-            session = MatchSession(net, MatcherConfig())
-            path = tmp_path / f"jobs{jobs}.csv"
-            write_match_csv(str(path), session.run(fleet.trajectories, jobs=jobs))
-            outputs.append(path.read_bytes())
-        assert outputs[0] == outputs[1]
+        return net, fleet.trajectories
+
+    def test_feedback_lands_between_intervals(self):
+        net, trajs = self._fleet()
+        session = MatchSession(net, _cold_config(predictor="naive"))
+        interval = session.config.update_interval
+        epoch = {t.id: math.floor(t.t0 / interval) for t in trajs}
+        assert len(set(epoch.values())) >= 3
+        events = []
+        match, feed = session.match_trajectory, session.feed_back
+
+        def spy_match(traj):
+            events.append(("match", epoch[traj.id]))
+            return match(traj)
+
+        def spy_feed(record):
+            events.append(("feed", epoch[record.trajectory_id]))
+            feed(record)
+
+        session.match_trajectory, session.feed_back = spy_match, spy_feed
+        session.run(trajs)
+        assert sorted(e for kind, e in events if kind == "feed") == sorted(epoch.values())
+        for i, (kind, e) in enumerate(events):
+            if kind == "feed":
+                # after the last match of its own interval, before the first of the next
+                assert all(m <= e for k, m in events[:i] if k == "match")
+                assert all(m > e for k, m in events[i:] if k == "match")
+
+    def test_trip_order_does_not_change_records(self):
+        net, trajs = self._fleet()
+        forward = MatchSession(net, MatcherConfig()).run(trajs)
+        backward = MatchSession(net, MatcherConfig()).run(reversed(trajs))
+        assert backward == forward
+
+    def test_benchmark_call_shape(self):
+        net, trajs = self._fleet()
+        plain = MatchSession(net, MatcherConfig()).run(trajs)
+        assert MatchSession(net, MatcherConfig()).run(trajs, jobs=1, feedback=True) == plain
+        with pytest.raises(ValueError, match="jobs"):
+            MatchSession(net, MatcherConfig()).run(trajs, jobs=2)
 
     def test_seeded_history_visible_to_collaboration(self, chain_network):
         session = MatchSession(chain_network, _cold_config())

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from mapfuse.path_search import SubGraph, carried_candidate, k_shortest_paths
-from mapfuse.scoring import (FusionWeights, ScoreVector, UnmatchedSegment, bearing_weight,
+from mapfuse.scoring import (FusionWeights, ScoreVector, bearing_weight,
                              final_score, habit_scores, kinematic_score,
                              mean_link_occupancy, normalize_scores, select_path,
                              speed_weight, traffic_scores)
@@ -187,7 +187,7 @@ class TestSelect:
         assert best is long_path
 
     def test_empty_set_signals_unmatched(self):
-        with pytest.raises(UnmatchedSegment):
+        with pytest.raises(ValueError, match="empty candidate set"):
             select_path([])
 
     def test_argmax_invariant_to_weight_rescaling(self, chain_network):
