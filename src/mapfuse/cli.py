@@ -267,7 +267,7 @@ def _cmd_evaluate(args) -> int:
         raise EmptyResultError("empty truth file")
     cost = None
     if args.cost_seconds is not None:
-        n = args.n_trajectories or len({tid for tid, _ in pred})
+        n = len({tid for tid, _ in pred}) if args.n_trajectories is None else args.n_trajectories
         with _input_errors("--cost-seconds/--n-trajectories: "):
             cost = cost_index([args.cost_seconds], n)
     with _input_errors(f"{args.pred} against {args.truth}: "):

@@ -424,8 +424,7 @@ def split_trips(vehicle: str, probes: Sequence[Probe], gap: float) -> list[Traje
     chunk: list[Probe] = []
     for probe in probes:
         if chunk and probe.t - chunk[-1].t > gap:
-            if len(chunk) >= 1:
-                trips.append(Trajectory(f"{vehicle}-{len(trips)}", vehicle, tuple(chunk)))
+            trips.append(Trajectory(f"{vehicle}-{len(trips)}", vehicle, tuple(chunk)))
             chunk = []
         chunk.append(probe)
     if chunk:

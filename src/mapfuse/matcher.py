@@ -105,7 +105,6 @@ class TrafficLedger:
         self._locations: dict[int, list[int]] = {}
         self._states: dict[int, StateVector] = {}
         self._predictions: dict[int, np.ndarray | None] = {}
-        self._first_interval: int | None = None
 
     def interval_of(self, t: float) -> int:
         return math.floor(t / self.config.update_interval) + 1
@@ -114,8 +113,6 @@ class TrafficLedger:
         for t, link_id in locations:
             j = self.interval_of(t)
             self._locations.setdefault(j, []).append(link_id)
-            if self._first_interval is None or j < self._first_interval:
-                self._first_interval = j
 
     def state(self, interval: int) -> StateVector:
         cached = self._states.get(interval)
@@ -126,10 +123,9 @@ class TrafficLedger:
         return cached
 
     def observed_states(self) -> list[StateVector]:
-        if self._first_interval is None:
+        if not self._locations:
             return []
-        last = max(self._locations)
-        return [self.state(j) for j in range(self._first_interval, last + 1)]
+        return [self.state(j) for j in range(min(self._locations), max(self._locations) + 1)]
 
     def predict_for(self, t: float) -> np.ndarray | None:
         """Predicted link shares for the interval containing t, or None cold."""
@@ -137,8 +133,9 @@ class TrafficLedger:
         if j in self._predictions:
             return self._predictions[j]
         pred: np.ndarray | None = None
-        if self._first_interval is not None and j > self._first_interval:
-            steps = min(self.config.max_steps, j - self._first_interval)
+        first = min(self._locations, default=j)
+        if j > first:
+            steps = min(self.config.max_steps, j - first)
             history = [self.state(j - 1 - k).values for k in range(steps)]
             if self.model is not None:
                 pred = self.model.forward(history)

@@ -9,6 +9,7 @@ being several times smaller.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import repeat
@@ -60,41 +61,40 @@ def find_candidate_edges(x: float, y: float, bearing: float,
     the link. Links whose foot falls beyond their extent have no projection
     point and are never candidates; without this, every probe approaching an
     intersection also "projects" onto the links leaving it, which are pure
-    phantoms. The containing edge is a candidate when the foot is within the
+    phantoms. The containing edge is the nearer of the edge holding the
+    foot's nominal offset and its neighbour across the nearer boundary (the
+    earlier edge on a tie). It is a candidate when the foot is within the
     vicinity radius, the probe bearing deviates from the link direction by
     less than 90 degrees, and at least one of the edge's side nodes is
     itself within the radius.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    best_per_link: dict[int, CandidateEdge] = {}
-    for edge in network.edges_near(x, y, radius):
-        proj, offset = network.project_point_to_edge(x, y, edge)
-        cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
-        cur = best_per_link.get(edge.link_id)
-        if cur is None or (cand.distance, cand.edge.index) < (cur.distance, cur.edge.index):
-            best_per_link[edge.link_id] = cand
     out = []
-    for link_id in sorted(best_per_link):
-        cand = best_per_link[link_id]
-        if cand.distance > radius:
-            continue
+    for link_id in {edge.link_id for edge in network.edges_near(x, y, radius)}:
         link = network.link(link_id)
+        if bearing_inclination(bearing, link.bearing) >= 90.0:
+            continue
         ldx = link.x1 - link.x0
         ldy = link.y1 - link.y0
         norm2 = ldx * ldx + ldy * ldy
-        if norm2 > 0.0:
-            t = ((x - link.x0) * ldx + (y - link.y0) * ldy) / norm2
-            if t < 0.0 or t > 1.0:
-                continue  # foot beyond the link: no projection point
-        if bearing_inclination(bearing, link.bearing) >= 90.0:
-            continue
+        t = ((x - link.x0) * ldx + (y - link.y0) * ldy) / norm2 if norm2 > 0.0 else 0.0
+        if t < 0.0 or t > 1.0:
+            continue  # foot beyond the link: no projection point
+        # at a boundary rounding may put the foot on either edge: try both
+        foot = t * link.length
+        i = bisect_right(link.edges, foot, key=lambda e: e.start_offset) - 1
+        if 2.0 * (foot - link.edges[i].start_offset) < link.edges[i].length:
+            i -= 1  # nearer the start: the neighbour is the edge before
+        cand = None
+        for edge in link.edges[max(i, 0):i + 2]:
+            proj, offset = network.project_point_to_edge(x, y, edge)
+            if cand is None or proj.distance < cand.distance:
+                cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
         edge = cand.edge
-        near_from = math.hypot(edge.x0 - x, edge.y0 - y) <= radius
-        near_to = math.hypot(edge.x1 - x, edge.y1 - y) <= radius
-        if not (near_from or near_to):
-            continue
-        out.append(cand)
+        if cand.distance <= radius and (math.hypot(edge.x0 - x, edge.y0 - y) <= radius
+                                        or math.hypot(edge.x1 - x, edge.y1 - y) <= radius):
+            out.append(cand)
     out.sort(key=lambda c: (c.distance, c.edge.link_id))
     return out
 

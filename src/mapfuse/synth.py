@@ -253,6 +253,9 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         raise ValueError(f"speed range must satisfy 0 < min <= max < inf, got {speed_range}")
     if not 0.0 <= noise_sigma < math.inf:
         raise ValueError(f"noise sigma must be finite and non-negative, got {noise_sigma}")
+    if min_route_duration is not None and not 0.0 <= min_route_duration < math.inf:
+        raise ValueError("minimum route duration must be finite and non-negative, "
+                         f"got {min_route_duration}")
     rng = np.random.default_rng(seed)
     min_duration = (min_route_duration if min_route_duration is not None
                     else 2.5 * probe_interval)

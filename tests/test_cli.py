@@ -370,6 +370,7 @@ def test_downsample_infinite_interval_is_2(fleet, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags", [["--n-trajectories", "-1", "--cost-seconds", "2"],
+                                   ["--n-trajectories", "0", "--cost-seconds", "2"],
                                    ["--cost-seconds", "nan"]])
 def test_bad_evaluate_cost_is_2(fleet, capsys, flags):
     assert main(["evaluate", "--pred", str(fleet / "matches.csv"),
@@ -381,7 +382,10 @@ def test_bad_evaluate_cost_is_2(fleet, capsys, flags):
                                          (["--speed-min", "0", "--speed-max", "0"], "speed"),
                                          (["--speed-min", "6", "--speed-max", "2"], "speed"),
                                          (["--noise", "nan"], "noise"),
-                                         (["--noise", "-1"], "noise")])
+                                         (["--noise", "-1"], "noise"),
+                                         (["--min-duration", "nan"], "duration"),
+                                         (["--min-duration", "inf"], "duration"),
+                                         (["--min-duration", "-1"], "duration")])
 def test_bad_synth_setting_is_2(tmp_path, capsys, flags, name):
     assert main(["synth", "--out", str(tmp_path / "p.csv"), *flags]) == 2
     assert name in capsys.readouterr().err

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from mapfuse.path_search import (SubGraph, build_subgraph, candidate_path_budget,
-                                 carried_candidate, ellipse_region, find_candidate_edges,
-                                 k_shortest_paths)
+from mapfuse.geometry import bearing_inclination
+from mapfuse.path_search import (CandidateEdge, SubGraph, build_subgraph,
+                                 candidate_path_budget, carried_candidate, ellipse_region,
+                                 find_candidate_edges, k_shortest_paths)
 
 from conftest import build_network, net_xy
 from oracles import assert_same_paths, enumerate_candidate_paths
@@ -55,6 +56,96 @@ class TestCandidateEdges:
         x, y = net_xy(chain_network, 210.0, 10.0)
         got = find_candidate_edges(x, y, 0.0, chain_network, radius=170.0)
         assert len({c.edge.link_id for c in got}) == len(got)
+
+    def test_same_as_the_rule_applied_to_every_edge(self):
+        rng = np.random.default_rng(17)
+        on_boundary = 0
+        for _ in range(12):
+            net = _random_candidate_network(rng)
+            for x, y, at_boundary in _probes_around_subdivisions(net, rng):
+                bearing = float(rng.uniform(0.0, 360.0))
+                radius = float(rng.choice([30.0, 170.0, 600.0]))
+                got = find_candidate_edges(x, y, bearing, net, radius)
+                assert got == _candidates_every_edge(x, y, bearing, net, radius)
+                on_boundary += at_boundary and any(c.offset == 0.0 and c.edge.index > 1
+                                                   or c.offset == c.edge.length for c in got)
+        assert on_boundary > 0
+
+    def test_projects_at_most_twice_per_nearby_link(self, chain_network, monkeypatch):
+        calls = []
+        project = chain_network.project_point_to_edge
+        monkeypatch.setattr(chain_network, "project_point_to_edge",
+                            lambda x, y, edge: calls.append(edge) or project(x, y, edge))
+        for px in (0.0, 50.0, 210.0, 400.0, 575.0):
+            x, y = net_xy(chain_network, px, 10.0)
+            calls.clear()
+            find_candidate_edges(x, y, 0.0, chain_network, radius=170.0)
+            near = {e.link_id for e in chain_network.edges_near(x, y, 170.0)}
+            assert 0 < len(calls) <= 2 * len(near)
+
+
+def _candidates_every_edge(x, y, bearing, net, radius):
+    """The find_candidate_edges rule applied to every edge of the network.
+
+    Each link keeps its nearest edge, the lower index on a tie, and keeps it
+    when the link's foot is on the link and the radius, bearing and
+    side-node checks pass.
+    """
+    best = {}
+    for edge in net.iter_edges():
+        proj, offset = net.project_point_to_edge(x, y, edge)
+        cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
+        cur = best.get(edge.link_id)
+        if cur is None or (cand.distance, edge.index) < (cur.distance, cur.edge.index):
+            best[edge.link_id] = cand
+    out = []
+    for cand in best.values():
+        link, edge = net.link(cand.edge.link_id), cand.edge
+        ldx, ldy = link.x1 - link.x0, link.y1 - link.y0
+        norm2 = ldx * ldx + ldy * ldy
+        t = ((x - link.x0) * ldx + (y - link.y0) * ldy) / norm2 if norm2 > 0.0 else 0.0
+        if (cand.distance <= radius and 0.0 <= t <= 1.0
+                and bearing_inclination(bearing, link.bearing) < 90.0
+                and min(math.hypot(edge.x0 - x, edge.y0 - y),
+                        math.hypot(edge.x1 - x, edge.y1 - y)) <= radius):
+            out.append(cand)
+    return sorted(out, key=lambda c: (c.distance, c.edge.link_id))
+
+
+def _random_candidate_network(rng):
+    """Random links whose nominal lengths differ from their geometry, plus a
+    zero-length link (coincident end nodes) with an explicit length and bearing."""
+    n_nodes = int(rng.integers(5, 9))
+    coords = [(i, float(rng.uniform(0, 800)), float(rng.uniform(0, 800)))
+              for i in range(n_nodes)]
+    coords.append((n_nodes, coords[0][1], coords[0][2]))
+    links = [(0, 0, n_nodes, float(rng.uniform(60.0, 400.0)), float(rng.uniform(0, 360)))]
+    for a in range(n_nodes):
+        for b in rng.permutation(n_nodes)[:int(rng.integers(1, 3))]:
+            if int(b) != a:
+                geo = math.dist(coords[a][1:], coords[int(b)][1:])
+                links.append((len(links), a, int(b), geo * float(rng.uniform(0.5, 2.0)), None))
+    return build_network(coords, links, split_length=float(rng.choice([40.0, 150.0])))
+
+
+def _probes_around_subdivisions(net, rng):
+    """Probes at, and 1e-9 m along the link either side of, two edge
+    boundaries per link, on the link and off it; then random probes. Yields
+    (x, y, at_boundary)."""
+    for lid in net.link_ids:
+        link = net.link(lid)
+        length = math.hypot(link.x1 - link.x0, link.y1 - link.y0)
+        if length == 0.0:
+            continue
+        ux, uy = (link.x1 - link.x0) / length, (link.y1 - link.y0) / length
+        inner = link.edges[1:]
+        for pos in rng.permutation(len(inner))[:2]:
+            edge = inner[pos]
+            for side in (0.0, float(rng.uniform(-40.0, 40.0))):
+                for along in (0.0, -1e-9, 1e-9):
+                    yield edge.x0 + along * ux - side * uy, edge.y0 + along * uy + side * ux, True
+    for _ in range(60):
+        yield float(rng.uniform(-100, 900)), float(rng.uniform(-100, 900)), False
 
 
 class TestEllipse:
