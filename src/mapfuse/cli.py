@@ -41,7 +41,6 @@ _CONFIG_KEYS = {
     "collab_spatial": "collaboration spatial radius, m",
     "collab_temporal": "collaboration temporal radius, s",
     "neighbor_weight": "collaboration neighbor weight in [0,1]",
-    "temporal_mode": "collaboration time comparison: time-of-day or absolute",
     "update_interval": "traffic state interval, s",
     "lookback": "traffic lookback window, s",
     "decay_ratio": "temporal decay ratio in [0,1]",
@@ -284,6 +283,8 @@ def _cmd_train_predictor(args) -> int:
     if len(states) < 3:
         raise EmptyResultError("not enough state intervals to train on")
     with _input_errors():
+        if len(states) < args.max_steps + 2:  # before the model stacks max_steps filter rows
+            raise ValueError(f"--max-steps needs {args.max_steps + 2} intervals, got {len(states)}")
         model = SpectralPredictor.for_network(network, args.max_steps, mcfg.decay_ratio)
         result = train_spectral(model, [s.values for s in states], max_epochs=args.epochs)
     model.save(args.out)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -173,19 +173,20 @@ def _starting_in(order: list[tuple[float, _StoredTrip]], lo: float,
 class HistoryStore:
     """Append-only store of finished match records plus lookup indices.
 
-    Trips are kept sorted by start time twice, by absolute time and by time
-    of day, so the collaborative-group lookup reads only the trips whose
-    start falls in its temporal window: its cost follows that window, not
-    the size of the store. Writes go through :meth:`record_match` under a
-    single-writer contract; reads see whatever has been recorded so far.
+    Trips are kept in one list sorted by the time of day of their start
+    (writes append, the next lookup sorts), so the collaborative-group lookup
+    reads only the trips whose start falls in its temporal window: its cost
+    follows that window, not the size of the store. Writes go through
+    :meth:`record_match` under a single-writer contract; reads see whatever
+    has been recorded so far.
     """
 
     def __init__(self, network: RoadNetwork):
         self.network = network
         self._trips: dict[str, _StoredTrip] = {}
         self._by_vehicle: dict[str, list[str]] = {}
-        self._by_start: list[tuple[float, _StoredTrip]] = []
         self._by_time_of_day: list[tuple[float, _StoredTrip]] = []
+        self._n_sorted = 0  # the list's length when a lookup last sorted it
 
     def __len__(self) -> int:
         return len(self._trips)
@@ -211,8 +212,7 @@ class HistoryStore:
         trip = _StoredTrip(record, counts, x0, y0, x1, y1)
         self._trips[record.trajectory_id] = trip
         self._by_vehicle.setdefault(record.vehicle, []).append(record.trajectory_id)
-        insort(self._by_start, (record.t0, trip), key=_KEY)
-        insort(self._by_time_of_day, (record.t0 % DAY_SECONDS, trip), key=_KEY)
+        self._by_time_of_day.append((record.t0 % DAY_SECONDS, trip))
 
     def records(self) -> list[MatchRecord]:
         return [self._trips[tid].record for tid in sorted(self._trips)]
@@ -229,24 +229,21 @@ class HistoryStore:
     # -- collaborative group ------------------------------------------------
 
     def collaborative_group(self, trajectory: Trajectory, spatial_radius: float,
-                            temporal_radius: float, *,
-                            temporal_mode: str = "time-of-day") -> set[str]:
+                            temporal_radius: float) -> set[str]:
         """Finished trips whose endpoints and times sit near the ego trip's.
 
-        Time comparison defaults to time-of-day because habits repeat daily;
-        ``temporal_mode="absolute"`` restores plain timestamp distance. Only
+        Times are compared by time of day because habits repeat daily. Only
         the trips whose start lies within ``temporal_radius`` of the ego's
-        start are read; in time-of-day mode that window wraps at midnight.
+        start are read; that window wraps at midnight.
         """
-        if temporal_mode not in ("time-of-day", "absolute"):
-            raise ValueError(f"unknown temporal mode {temporal_mode!r}")
+        if self._n_sorted != len(self._by_time_of_day):
+            self._by_time_of_day.sort(key=_KEY)
+            self._n_sorted = len(self._by_time_of_day)
         t0 = trajectory.t0
         # a margin far above the rounding of the window's bounds keeps every
         # trip the tests below accept; they alone decide membership
         reach = temporal_radius + 1e-12 * (abs(t0) + abs(temporal_radius) + DAY_SECONDS)
-        if temporal_mode == "absolute":
-            window = _starting_in(self._by_start, t0 - reach, t0 + reach)
-        elif temporal_radius < DAY_SECONDS / 2:
+        if temporal_radius < DAY_SECONDS / 2:
             key = t0 % DAY_SECONDS
             window = [entry for shift in (-DAY_SECONDS, 0.0, DAY_SECONDS)
                       for entry in _starting_in(self._by_time_of_day, key + shift - reach,
@@ -257,11 +254,6 @@ class HistoryStore:
         sx, sy = proj.to_plane(trajectory.start.lon, trajectory.start.lat)
         ex, ey = proj.to_plane(trajectory.end.lon, trajectory.end.lat)
 
-        def tdist(a: float, b: float) -> float:
-            if temporal_mode == "absolute":
-                return abs(a - b)
-            return time_of_day_delta(a, b)
-
         group = set()
         for _, trip in window:
             rec = trip.record
@@ -269,26 +261,25 @@ class HistoryStore:
                 continue  # only history that existed before the trip started
             if math.hypot(trip.x0 - sx, trip.y0 - sy) > spatial_radius:
                 continue
-            if tdist(rec.t0, trajectory.t0) > temporal_radius:
+            if time_of_day_delta(rec.t0, trajectory.t0) > temporal_radius:
                 continue
             if math.hypot(trip.x1 - ex, trip.y1 - ey) > spatial_radius:
                 continue
-            if tdist(rec.t_end, trajectory.t_end) > temporal_radius:
+            if time_of_day_delta(rec.t_end, trajectory.t_end) > temporal_radius:
                 continue
             group.add(rec.trajectory_id)
         return group
 
     def collaboration_context(self, trajectory: Trajectory, spatial_radius: float,
-                              temporal_radius: float, neighbor_weight: float,
-                              *, temporal_mode: str = "time-of-day") -> CollaborationContext:
+                              temporal_radius: float,
+                              neighbor_weight: float) -> CollaborationContext:
         """Fold ego history and group counts into one weighted counter.
 
         The ego slot aggregates the whole finished history of the ego
         vehicle (its habit); each group member from another vehicle
         contributes its own trip counts at ``neighbor_weight``.
         """
-        group = self.collaborative_group(trajectory, spatial_radius, temporal_radius,
-                                         temporal_mode=temporal_mode)
+        group = self.collaborative_group(trajectory, spatial_radius, temporal_radius)
         weighted: dict[EdgeKey, float] = {}
         for edge, count in self.vehicle_counts(trajectory.vehicle, trajectory.t0).items():
             weighted[edge] = weighted.get(edge, 0.0) + count
@@ -342,7 +333,10 @@ class HistoryStore:
                         bad = next(k for k in (*(seg or ()), edge) if k not in known)
                         raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
                                                f"edge {bad} is not in {self.network.links_name}")
-                    per_trip.setdefault(tid, {})[idx] = (edge, seg)
+                    if idx in per_trip.setdefault(tid, {}):
+                        raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
+                                               f"duplicate line for probe {idx}")
+                    per_trip[tid][idx] = (edge, seg)
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
         loaded = 0

@@ -37,7 +37,6 @@ class MatcherConfig:
     collab_spatial_radius: float = 300.0
     collab_temporal_radius: float = 5.0
     neighbor_weight: float = 1.0
-    temporal_mode: str = "time-of-day"
     update_interval: float = 300.0
     lookback: float = 3600.0
     decay_ratio: float = 0.8
@@ -73,8 +72,6 @@ class MatcherConfig:
             raise ValueError("at least one judge must stay active")
         if self.predictor not in ("none", "naive", "spectral"):
             raise ValueError(f"unknown predictor {self.predictor!r}")
-        if self.temporal_mode not in ("time-of-day", "absolute"):
-            raise ValueError(f"unknown temporal_mode {self.temporal_mode!r}")
 
     def traffic_config(self) -> TrafficConfig:
         return TrafficConfig(self.update_interval, self.lookback, self.decay_ratio)
@@ -240,7 +237,7 @@ class MatchSession:
         if cfg.use_habit:
             collab = self.history.collaboration_context(
                 trajectory, cfg.collab_spatial_radius, cfg.collab_temporal_radius,
-                cfg.neighbor_weight, temporal_mode=cfg.temporal_mode)
+                cfg.neighbor_weight)
         budget = candidate_path_budget(trajectory.probing_interval, cfg.k_floor, cfg.k_cap)
 
         carried = self.match_first_probe(probes[0])
@@ -338,15 +335,19 @@ class MatchRow:
     path: tuple[EdgeKey, ...] | None
 
 
-def _match_row(rec: dict) -> MatchRow:
-    timestamp = float(rec["timestamp"])
-    if not math.isfinite(timestamp):
-        raise ValueError(f"non-finite timestamp {timestamp}")
-    edge = (int(rec["link_id"]), int(rec["edge_idx"])) if rec["matched"] == "1" else None
-    return MatchRow(rec["trajectory_id"], int(rec["probe_idx"]), timestamp, edge,
-                    parse_edges(rec["path_edges"]))
-
-
 def read_match_csv(path: str) -> dict[tuple[str, int], MatchRow]:
-    return {(row.trajectory_id, row.probe_idx): row
-            for row in _read_csv(path, MATCH_COLUMNS, _match_row)}
+    rows: dict[tuple[str, int], MatchRow] = {}
+
+    def store(rec: dict) -> None:
+        key = (rec["trajectory_id"], int(rec["probe_idx"]))
+        if key in rows:
+            raise ValueError(f"duplicate row for trajectory {key[0]} probe {key[1]}")
+        timestamp = float(rec["timestamp"])
+        if not math.isfinite(timestamp):
+            raise ValueError(f"non-finite timestamp {timestamp}")
+        edge = (int(rec["link_id"]), int(rec["edge_idx"])) if rec["matched"] == "1" else None
+        rows[key] = MatchRow(*key, timestamp, edge, parse_edges(rec["path_edges"]))
+
+    for _ in _read_csv(path, MATCH_COLUMNS, store):
+        pass
+    return rows

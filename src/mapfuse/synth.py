@@ -21,7 +21,6 @@ from .network import EdgeKey, RoadNetwork, load_network
 
 
 def make_grid_network(n_cols: int = 8, n_rows: int = 8, spacing: float = 200.0,
-                      origin: tuple[float, float] = (119.30, 24.51),
                       split_length: float = 50.0, spacing_jitter: float = 0.0,
                       seed: int = 0) -> RoadNetwork:
     """Two-way rectangular grid.
@@ -30,7 +29,7 @@ def make_grid_network(n_cols: int = 8, n_rows: int = 8, spacing: float = 200.0,
     fraction of ``spacing``, which breaks the exact path-length ties a
     uniform grid produces everywhere.
     """
-    lon0, lat0 = origin
+    lon0, lat0 = 119.30, 24.51  # the first node
     rng = np.random.default_rng(seed)
 
     def gaps(n):
@@ -235,15 +234,14 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
                        n_hubs: int = 6, od_pairs: Sequence[tuple[int, int]] | None = None,
                        link_speeds: dict[int, float] | None = None,
                        bearing_noise_deg: float | None = None,
-                       min_route_duration: float | None = None,
-                       epoch: float = 1000.0, retry_cap: int = 60) -> SyntheticFleet:
+                       min_route_duration: float | None = None) -> SyntheticFleet:
     """Probe fleet plus ground truth on a network.
 
     ``habit_strength`` is the probability that a repeat trip reuses the
     vehicle's preferred route. ``noise_sigma`` is the probe position noise
     in meters; bearing and speed noise scale with it and vanish at zero.
     OD pairs that cannot produce a long-enough route are resampled up to
-    ``retry_cap`` times.
+    60 times, then the longest route found is taken.
     """
     if not (0.0 <= habit_strength <= 1.0):
         raise ValueError("habit strength must be in [0, 1]")
@@ -308,7 +306,7 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         preferred: dict[int, list[int]] = {}
         od = None
         best: tuple[float, dict, tuple] | None = None
-        for _ in range(retry_cap):
+        for _ in range(60):
             if od_pairs is not None:
                 a, b = od_pairs[int(rng.integers(0, len(od_pairs)))]
             else:
@@ -325,7 +323,7 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         if best is None:
             raise ValueError("could not sample a route between the hubs")
         _, preferred, od = best
-        base_start = epoch + float(rng.uniform(0.0, start_spread))
+        base_start = 1000.0 + float(rng.uniform(0.0, start_spread))
 
         emitted = 0
         for trip in range(trips_per_vehicle):

@@ -357,16 +357,21 @@ def write_states_csv(path: str, network: RoadNetwork, states: Sequence[StateVect
 
 
 def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
-    def convert(rec: dict) -> tuple[int, int, float]:
-        x = float(rec["X"])
+    rows: dict[int, np.ndarray] = {}  # NaN: no line has given the link yet
+
+    def store(rec: dict) -> None:
+        x, link_id, j = float(rec["X"]), int(rec["link_id"]), int(rec["interval_j"])
         if not math.isfinite(x):
             raise ValueError(f"non-finite X {x}")
-        link_id = int(rec["link_id"])
         if link_id not in network.links:
             raise ValueError(f"link {link_id} is not in {network.links_name}")
-        return int(rec["interval_j"]), network.link_row(link_id), x
+        if j not in rows:
+            rows[j] = np.full(network.n_links(), np.nan)
+        row = network.link_row(link_id)
+        if not math.isnan(rows[j][row]):
+            raise ValueError(f"duplicate line for interval {j} link {link_id}")
+        rows[j][row] = x
 
-    rows: dict[int, np.ndarray] = {}
-    for j, row, x in _read_csv(path, ("interval_j", "link_id", "X"), convert):
-        rows.setdefault(j, np.zeros(network.n_links()))[row] = x
-    return [StateVector(j, rows[j]) for j in sorted(rows)]
+    for _ in _read_csv(path, ("interval_j", "link_id", "X"), store):
+        pass
+    return [StateVector(j, np.nan_to_num(rows[j], nan=0.0)) for j in sorted(rows)]

@@ -151,7 +151,7 @@ class TestExitCodes:
         (["--update-interval", "0"], {}, "update_interval"),
         (["--k-floor", "0"], {}, "k_floor"),
         ([], {"predictor": "foo"}, "predictor"),
-        ([], {"temporal_mode": "foo"}, "temporal_mode"),
+        ([], {"temporal_mode": "time-of-day"}, "temporal_mode"),
         (["--neighbor-weight", "-1", "--collab-spatial", "100000",
           "--collab-temporal", "100000"], {}, "neighbor_weight"),
         (["--decay-ratio", "-1"], {}, "decay_ratio"),
@@ -178,17 +178,18 @@ class TestExitCodes:
         assert code == 2
         assert name in capsys.readouterr().err
 
-    def test_jobs_setting_is_gone(self, workdir, capsys):
+    @pytest.mark.parametrize("key, value", [("jobs", 1), ("temporal_mode", "absolute")])
+    def test_removed_setting_is_gone(self, workdir, capsys, key, value):
         _synth(workdir)
         argv = ["match", "--nodes", str(workdir / "nodes.csv"),
                 "--links", str(workdir / "links.csv"),
                 "--probes", str(workdir / "probes.csv"),
                 "--out", str(workdir / "out.csv")]
-        (workdir / "cfg.json").write_text(json.dumps({"jobs": 1}))
+        (workdir / "cfg.json").write_text(json.dumps({key: value}))
         assert main([*argv, "--config", str(workdir / "cfg.json")]) == 2
-        assert "unknown config keys ['jobs']" in capsys.readouterr().err
+        assert f"unknown config keys ['{key}']" in capsys.readouterr().err
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--jobs", "2"])
+            main([*argv, "--" + key.replace("_", "-"), str(value)])
         assert exc.value.code == 2
 
     def test_config_not_an_object_is_2(self, workdir, capsys):
@@ -293,6 +294,12 @@ def _with_non_utf8(path):
     return data[:40] + b"\xff\xfe" + data[40:]
 
 
+def _with_second_line_twice(path):
+    """The file with its second line repeated right after it."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    return b"".join(lines[:2] + lines[1:])
+
+
 # case -> (the fleet file it stands in for, its bytes; None for a missing file)
 _BAD_INPUTS = {
     "missing_pred": ("matches.csv", lambda d: None),
@@ -311,6 +318,9 @@ _BAD_INPUTS = {
     "links_lost_a_logged_link": ("links.csv", _links_without_first_logged),
     "history_probe_out_of_range": ("history.log", lambda d: _log_with(d, lambda t, i, e, seg: (
         t, "99", e, ";".join(seg)))),
+    "history_repeated_probe": ("history.log", lambda d: _with_second_line_twice(d / "history.log")),
+    "pred_repeated_probe": ("matches.csv", lambda d: _with_second_line_twice(d / "matches.csv")),
+    "states_repeated_link": ("states.csv", lambda d: _with_second_line_twice(d / "states.csv")),
 }
 
 
@@ -361,6 +371,21 @@ def test_bad_count_or_list_is_2(fleet, tmp_path, capsys, argv, name):
                  "--out", str(tmp_path / "out.json"), *files, *argv[1:]])
     assert code == 2
     assert name in capsys.readouterr().err
+
+
+def test_max_steps_checked_before_the_model_is_built(fleet, tmp_path, capsys, monkeypatch):
+    # max_steps + 2 intervals are needed; the log falls one short
+    rows = (fleet / "states.csv").read_text().splitlines()[1:]
+    max_steps = len({row.split(",")[0] for row in rows}) - 1
+    built = []
+    monkeypatch.setattr(SpectralPredictor, "for_network",
+                        classmethod(lambda cls, *args: built.append(args)))
+    code = main(["train-predictor", "--nodes", str(fleet / "nodes.csv"),
+                 "--links", str(fleet / "links.csv"), "--states", str(fleet / "states.csv"),
+                 "--out", str(tmp_path / "model.json"), "--max-steps", str(max_steps)])
+    assert code == 2
+    assert "--max-steps" in capsys.readouterr().err
+    assert built == []
 
 
 def test_downsample_infinite_interval_is_2(fleet, tmp_path, capsys):

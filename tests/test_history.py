@@ -89,14 +89,6 @@ class TestCollaborativeGroup:
         group = store.collaborative_group(traj, 300.0, 5.0)
         assert group == {"n1-0", "n2-0"}
 
-    def test_absolute_mode_ignores_day_wrap(self, chain_network):
-        store = HistoryStore(chain_network)
-        store.record_match(_record(chain_network, "n1-0", "n1", ((0, 1), (0, 2))))
-        traj = _trajectory(chain_network, "j", "ego",
-                           t0=1000.0 + DAY_SECONDS, t_end=1060.0 + DAY_SECONDS)
-        assert store.collaborative_group(traj, 300.0, 5.0, temporal_mode="absolute") == set()
-        assert store.collaborative_group(traj, 300.0, 5.0) == {"n1-0"}
-
     def test_only_records_before_trip_start_qualify(self, chain_network):
         store = HistoryStore(chain_network)
         store.record_match(_record(chain_network, "n1-0", "n1", ((0, 1), (0, 2)),
@@ -121,15 +113,14 @@ class TestCollaborativeGroup:
         assert groups[0] == groups[1]
 
 
-def _scan_group(net, records, traj, spatial_radius, temporal_radius, temporal_mode):
+def _scan_group(net, records, traj, spatial_radius, temporal_radius):
     """The group rule applied to every record in turn: the reference for the indexed lookup."""
     def far(a, b):
         (ax, ay), (bx, by) = net.projector.to_plane(*a), net.projector.to_plane(*b)
         return math.hypot(ax - bx, ay - by) > spatial_radius
 
     def late(a, b):
-        gap = abs(a - b) if temporal_mode == "absolute" else time_of_day_delta(a, b)
-        return gap > temporal_radius
+        return time_of_day_delta(a, b) > temporal_radius
 
     start, end = (traj.start.lon, traj.start.lat), (traj.end.lon, traj.end.lat)
     return {rec.trajectory_id for rec in records
@@ -157,8 +148,8 @@ def _nudge(t, ulps):
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data(), temporal_mode=st.sampled_from(("time-of-day", "absolute")))
-def test_group_is_the_scan_rule(data, temporal_mode):
+@given(data=st.data())
+def test_group_is_the_scan_rule(data):
     from conftest import build_network
     radius = data.draw(st.one_of(st.sampled_from(_RADII), st.floats(0.0, 600.0),
                                  st.floats(0.0, 2 * DAY_SECONDS)))
@@ -178,45 +169,39 @@ def test_group_is_the_scan_rule(data, temporal_mode):
     records = [_record(net, f"n{k}-0", f"n{k}", ((0, 1), (0, 2)), t0=t0, t_end=t0 + duration,
                        start_xy=start, end_xy=end)
                for k, (t0, duration, start, end) in enumerate(trips)]
-    for rec in records:
-        store.record_match(rec)
     traj = _trajectory(net, "j", "ego", t0=ego_t0, t_end=ego_t0 + ego_duration,
                        start_xy=ego_start, end_xy=ego_end)
-    assert store.collaborative_group(traj, 300.0, radius, temporal_mode=temporal_mode) == \
-        _scan_group(net, records, traj, 300.0, radius, temporal_mode)
+    # lookups between writes: each must see every trip recorded before it
+    look = data.draw(st.lists(st.booleans(), min_size=len(records), max_size=len(records)))
+    for k, rec in enumerate(records):
+        store.record_match(rec)
+        if look[k] or k == len(records) - 1:
+            assert store.collaborative_group(traj, 300.0, radius) == \
+                _scan_group(net, records[:k + 1], traj, 300.0, radius)
 
 
-@pytest.mark.parametrize("temporal_mode, ego_t0, duration, rec_t0", [
-    ("absolute", 4.329162006958445, 2.5, -0.6708379930415557),
-    ("time-of-day", 8.217187823018016, 5.0, 3.217187823018015),
-])
-def test_group_keeps_a_start_that_rounds_past_the_window_edge(chain_network, temporal_mode,
-                                                              ego_t0, duration, rec_t0):
+def test_group_keeps_a_start_that_rounds_past_the_window_edge(chain_network):
     # the start lies a rounding error outside ego_t0 +- 5 s, yet its rounded
     # time distance is exactly 5 s, so the scan rule takes it
+    ego_t0, duration, rec_t0 = 8.217187823018016, 5.0, 3.217187823018015
     rec = _record(chain_network, "n0-0", "n0", ((0, 1), (0, 2)), t0=rec_t0,
                   t_end=rec_t0 + duration)
     store = HistoryStore(chain_network)
     store.record_match(rec)
     traj = _trajectory(chain_network, "j", "ego", t0=ego_t0, t_end=ego_t0 + duration)
-    assert _scan_group(chain_network, [rec], traj, 300.0, 5.0, temporal_mode) == {"n0-0"}
-    assert store.collaborative_group(traj, 300.0, 5.0, temporal_mode=temporal_mode) == {"n0-0"}
+    assert _scan_group(chain_network, [rec], traj, 300.0, 5.0) == {"n0-0"}
+    assert store.collaborative_group(traj, 300.0, 5.0) == {"n0-0"}
 
 
-@pytest.mark.parametrize("temporal_mode, day, expected", [
-    ("time-of-day", 3, {"n5000-0", "n5001-0"}),
-    ("absolute", 0, {"n5000-0"}),  # n5001-0 is still under way when the ego starts
-])
-def test_group_reads_only_trips_starting_in_the_window(chain_network, temporal_mode, day,
-                                                        expected):
+def test_group_reads_only_trips_starting_in_the_window(chain_network):
     # 10,000 trips spread over day 0, one every 8.64 s; a 5 s radius holds about one
     store = HistoryStore(chain_network)
     for k in range(10_000):
         t0 = k * DAY_SECONDS / 10_000
         store.record_match(_record(chain_network, f"n{k}-0", f"n{k}", ((0, 1), (0, 2)),
                                    t0=t0, t_end=t0 + 4.0))
-    traj = _trajectory(chain_network, "j", "ego", t0=day * DAY_SECONDS + 43_204.3,
-                       t_end=day * DAY_SECONDS + 43_208.3)
+    traj = _trajectory(chain_network, "j", "ego", t0=3 * DAY_SECONDS + 43_204.3,
+                       t_end=3 * DAY_SECONDS + 43_208.3)
     in_window = {rec.trajectory_id for rec in store.records()
                  if time_of_day_delta(rec.t0, traj.t0) <= 5.0}
     assert in_window == {"n5000-0", "n5001-0"}
@@ -229,9 +214,9 @@ def test_group_reads_only_trips_starting_in_the_window(chain_network, temporal_m
 
     for trip in store._trips.values():
         trip.__class__ = Spy
-    group = store.collaborative_group(traj, 300.0, 5.0, temporal_mode=temporal_mode)
+    group = store.collaborative_group(traj, 300.0, 5.0)
     assert group <= read <= in_window
-    assert group == expected
+    assert group == {"n5000-0", "n5001-0"}
 
 
 def _path_frequency(store, traj, path, neighbor_weight=1.0):
