@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import statistics
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -174,9 +174,9 @@ class HistoryStore:
     """Append-only store of finished match records plus lookup indices.
 
     Trips are kept in one list sorted by the time of day of their start
-    (writes append, the next lookup sorts), so the collaborative-group lookup
-    reads only the trips whose start falls in its temporal window: its cost
-    follows that window, not the size of the store. Writes go through
+    (writes insert in order), so the collaborative-group lookup reads only
+    the trips whose start falls in its temporal window: its cost follows
+    that window, not the size of the store. Writes go through
     :meth:`record_match` under a single-writer contract; reads see whatever
     has been recorded so far.
     """
@@ -186,7 +186,6 @@ class HistoryStore:
         self._trips: dict[str, _StoredTrip] = {}
         self._by_vehicle: dict[str, list[str]] = {}
         self._by_time_of_day: list[tuple[float, _StoredTrip]] = []
-        self._n_sorted = 0  # the list's length when a lookup last sorted it
 
     def __len__(self) -> int:
         return len(self._trips)
@@ -212,7 +211,7 @@ class HistoryStore:
         trip = _StoredTrip(record, counts, x0, y0, x1, y1)
         self._trips[record.trajectory_id] = trip
         self._by_vehicle.setdefault(record.vehicle, []).append(record.trajectory_id)
-        self._by_time_of_day.append((record.t0 % DAY_SECONDS, trip))
+        insort(self._by_time_of_day, (record.t0 % DAY_SECONDS, trip), key=_KEY)
 
     def records(self) -> list[MatchRecord]:
         return [self._trips[tid].record for tid in sorted(self._trips)]
@@ -236,9 +235,6 @@ class HistoryStore:
         the trips whose start lies within ``temporal_radius`` of the ego's
         start are read; that window wraps at midnight.
         """
-        if self._n_sorted != len(self._by_time_of_day):
-            self._by_time_of_day.sort(key=_KEY)
-            self._n_sorted = len(self._by_time_of_day)
         t0 = trajectory.t0
         # a margin far above the rounding of the window's bounds keeps every
         # trip the tests below accept; they alone decide membership

@@ -5,6 +5,14 @@ arcs, and partial traversals of the anchor links enter through virtual
 source/sink connectors weighted by the projection offsets. Subdivision nodes
 never branch, so this is exactly equivalent to searching edge by edge while
 being several times smaller.
+
+The top-K search is Yen's with lazy spur searches: one shortest-path tree
+towards the sink bounds each deviation from below, a deviation is searched
+only when that bound reaches the head of the pool, and the tree itself is
+the answer whenever its path avoids the deviation's root. The result is the
+eager search's, except where a tie class at the K-th length is larger than
+the overrun cap: then both return paths of the same lengths, but may keep
+different members of the class.
 """
 from __future__ import annotations
 
@@ -297,6 +305,31 @@ class _SearchGraph:
                     counter += 1
         return None
 
+    def sink_tree(self) -> tuple[dict[object, float], dict[object, int]]:
+        """Per node that reaches the sink: its cost to the sink and the first
+        arc of a cheapest way there (one Dijkstra over the reversed arcs)."""
+        into: dict[object, list[tuple[object, int]]] = {}
+        for src, arcs in self.adj.items():
+            for arc in arcs:
+                into.setdefault(self.arc_dst[arc], []).append((src, arc))
+        heap: list[tuple[float, int, object]] = [(0.0, 0, _SNK)]
+        cost: dict[object, float] = {_SNK: 0.0}
+        toward: dict[object, int] = {}
+        counter = 1
+        arc_weight = self.arc_weight
+        while heap:
+            d, _, node = heappop(heap)
+            if d > cost[node]:
+                continue  # a stale entry: the node was settled cheaper
+            for src, arc in into.get(node, ()):
+                nd = d + arc_weight[arc]
+                if nd < cost.get(src, math.inf):
+                    cost[src] = nd
+                    toward[src] = arc
+                    heappush(heap, (nd, counter, src))
+                    counter += 1
+        return cost, toward
+
     def node_sequence(self, arcs: Sequence[int]) -> list[object]:
         nodes = [_SRC]
         for arc in arcs:
@@ -356,57 +389,87 @@ def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]
     """Loopless shortest arc paths from source to sink, cheapest first.
 
     Enumerates up to ``budget`` paths plus whatever is needed to finish the
-    tie class at the boundary, within a fixed overrun.
+    tie class at the boundary, within a fixed overrun. Spur searches are
+    lazy: one shortest-path tree towards the sink gives ``h(v)``, the cost
+    from ``v`` to the sink, and a spur enters the pool keyed by its prefix
+    cost plus the least ``w(a) + h(head of a)`` over its allowed arcs, less
+    ``_TIE_EPS`` so that rounding never lifts a key above the spur's cost.
+    Its search runs only when it reaches the head of the pool; when the tree
+    path behind the best arc avoids the root and the spur node, that path is
+    the spur and no search runs at all. A resolved spur keeps the place in
+    line of its lazy entry, so equal-cost paths leave the pool in the order
+    their deviations entered it. Only where the overrun cap cuts a tie class
+    short may the members kept differ from an eager search's (one search per
+    deviation as it is pooled), never their lengths.
     """
-    first = graph.dijkstra(_SRC, set(), set())
-    if first is None:
+    h, toward_sink = graph.sink_tree()
+    if _SRC not in h:
         return []
-    selected: list[tuple[float, tuple[int, ...], int]] = [(first[0], tuple(first[1]), 0)]
-    pool: list[tuple[float, int, tuple[int, ...], int]] = []
+    adj, arc_dst, arc_weight = graph.adj, graph.arc_dst, graph.arc_weight
+
+    def tree_path(arc: int, avoid: Container) -> tuple[float, list[int]] | None:
+        """``arc``, then the tree's way to the sink, costed as dijkstra does;
+        None when that way enters ``avoid``."""
+        arcs, cost = [arc], arc_weight[arc]
+        while arc_dst[arcs[-1]] != _SNK:
+            if arc_dst[arcs[-1]] in avoid:
+                return None
+            arcs.append(toward_sink[arc_dst[arcs[-1]]])
+            cost += arc_weight[arcs[-1]]
+        return cost, arcs
+
+    first = tree_path(toward_sink[_SRC], ())
+    selected: list[tuple[float, tuple[int, ...]]] = []
+    # (key, order, arcs, spur index, None when resolved or the lazy spur's
+    # (removed arcs, best arc, prefix cost))
+    pool: list[tuple[float, int, tuple[int, ...], int, tuple | None]] = [
+        (first[0], 0, tuple(first[1]), 0, None)]
     seen = {tuple(first[1])}
     counter = 0
     tree: dict[int, dict] = {}  # prefix tree of the selected paths, one level per arc
+    kth = math.inf
 
-    while True:
-        cost_p, arcs_p, dev_index = selected[-1]
+    while pool:
+        if pool[0][0] > kth + _TIE_EPS or len(selected) >= budget + _TIE_OVERRUN:
+            break
+        key, order, arcs_p, index, lazy = heappop(pool)
+        node_seq = graph.node_sequence(arcs_p)
+        if lazy is not None:
+            removed_arcs, best, prefix_cost = lazy
+            root = set(node_seq[:index + 1])
+            spur = tree_path(best, root) or graph.dijkstra(
+                node_seq[index], removed_arcs, root - {node_seq[index]})
+            if spur is not None and (total := arcs_p[:index] + tuple(spur[1])) not in seen:
+                seen.add(total)
+                heappush(pool, (prefix_cost + spur[0], order, total, index, None))
+            continue
+        selected.append((key, arcs_p))
+        if len(selected) >= budget:
+            kth = sorted(c for c, _ in selected)[budget - 1]
         branch = tree
         for arc in arcs_p:
             branch = branch.setdefault(arc, {})
-        node_seq = graph.node_sequence(arcs_p)
+        at = {node: i for i, node in enumerate(node_seq)}
         prefix_cost = 0.0
         branch = tree
         for i in range(len(arcs_p) - 1):
             if i > 0:
-                prefix_cost += graph.arc_weight[arcs_p[i - 1]]
+                prefix_cost += arc_weight[arcs_p[i - 1]]
                 branch = branch[arcs_p[i - 1]]
-            if i < dev_index:
+            if i < index:
                 continue  # Lawler: deviations before the parent's own spur are covered
-            root = arcs_p[:i]
-            spur_node = node_seq[i]
-            removed_arcs = branch.keys()  # next arcs of the selected paths sharing the root
-            removed_nodes = set(node_seq[:i])
-            alternatives = [a for a in graph.adj.get(spur_node, ())
-                            if a not in removed_arcs and graph.arc_dst[a] not in removed_nodes]
-            if not alternatives:
-                continue
-            spur = graph.dijkstra(spur_node, removed_arcs, removed_nodes)
-            if spur is None:
-                continue
-            total = tuple(root) + tuple(spur[1])
-            if total in seen:
-                continue
-            seen.add(total)
-            counter += 1
-            heappush(pool, (prefix_cost + spur[0], counter, total, i))
-        if not pool:
-            break
-        if len(selected) >= budget:
-            kth = sorted(c for c, _, _ in selected)[budget - 1]
-            if pool[0][0] > kth + _TIE_EPS or len(selected) >= budget + _TIE_OVERRUN:
-                break
-        cost, _, arcs, dev_index = heappop(pool)
-        selected.append((cost, arcs, dev_index))
-    return [(c, a) for c, a, _ in selected]
+            # the removed arcs are the next arcs of the selected paths sharing the root
+            bound, best = math.inf, None
+            for a in adj.get(node_seq[i], ()):
+                if a not in branch and at.get(arc_dst[a], i) >= i:
+                    b = arc_weight[a] + h.get(arc_dst[a], math.inf)
+                    if b < bound:
+                        bound, best = b, a
+            if best is not None:
+                counter += 1
+                heappush(pool, (prefix_cost + bound - _TIE_EPS, counter, arcs_p, i,
+                                (frozenset(branch), best, prefix_cost)))
+    return selected
 
 
 def k_shortest_paths(subgraph: SubGraph,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from mapfuse.geometry import bearing_inclination
-from mapfuse.path_search import (CandidateEdge, SubGraph, build_subgraph,
+from mapfuse import path_search
+from mapfuse.path_search import (_TIE_OVERRUN, CandidateEdge, SubGraph, build_subgraph,
                                  candidate_path_budget, carried_candidate, ellipse_region,
                                  find_candidate_edges, k_shortest_paths)
 
@@ -207,7 +208,7 @@ class TestSubgraph:
     def test_reads_only_links_with_an_edge_in_the_bbox(self, monkeypatch):
         # a grid plus a far second component: the trim must not look at the
         # far links at all, however many there are
-        nodes, links = _grid_4x4_rows()
+        nodes, links = _grid_rows(4)
         nodes += [(100 + i, 20_000.0 + 300.0 * i, 0.0) for i in range(4)]
         links += [(1000 + i, 100 + i, 101 + i, None, None) for i in range(3)]
         net = build_network(nodes, links, split_length=100.0)
@@ -327,6 +328,57 @@ class TestKShortest:
             expected = enumerate_candidate_paths(sub, starts, ends, budget=budget)
             assert_same_paths(got, expected)
 
+    def test_random_graphs_match_brute_force_at_deeper_budgets(self):
+        # at these budgets most spur entries are still deferred when the
+        # search stops
+        rng = np.random.default_rng(43)
+        for trial in range(12):
+            net, sub, starts, ends = _random_instance(rng)
+            budget = int(rng.integers(9, 41))
+            got = k_shortest_paths(sub, starts, ends, budget)
+            assert_same_paths(got, enumerate_candidate_paths(sub, starts, ends, budget=budget))
+
+    def test_spur_searches_are_lazy(self, monkeypatch):
+        # jittered link lengths keep the ranking free of ties
+        nodes, links = _grid_rows(5, np.random.default_rng(9))
+        net = build_network(nodes, links, split_length=100.0)
+        sub = SubGraph.whole(net)
+        starts, ends = _single_candidates(net, _find_link(net, 0, 1), 30.0,
+                                          _find_link(net, 23, 24), 60.0)
+        calls = []
+        dijkstra = path_search._SearchGraph.dijkstra
+        monkeypatch.setattr(path_search._SearchGraph, "dijkstra",
+                            lambda self, *args: calls.append(args) or dijkstra(self, *args))
+        got = k_shortest_paths(sub, starts, ends, 30)
+        assert_same_paths(got, enumerate_candidate_paths(sub, starts, ends, budget=30))
+        # a search per deviation, run when the deviation is pooled, made 134
+        # calls here; the lazy searches make 3
+        assert len(calls) <= 3
+
+    def test_tie_overrun_cap(self):
+        # 70 equal monotone paths cross a uniform 5x5 grid corner to corner
+        nodes, links = _grid_rows(5)
+        nodes += [(25, -300.0, 0.0), (26, 1500.0, 1200.0)]
+        links += [(len(links), 25, 0, 300.0, None), (len(links) + 1, 24, 26, 300.0, None)]
+        net = build_network(nodes, links, split_length=100.0)
+        sub = SubGraph.whole(net)
+        starts, ends = _single_candidates(net, _find_link(net, 25, 0), 30.0,
+                                          _find_link(net, 24, 26), 60.0)
+        full = enumerate_candidate_paths(sub, starts, ends)
+        ties = sum(p.length == full[0].length for p in full)
+        assert ties == 70 > 1 + _TIE_OVERRUN
+        for budget in range(1, ties - _TIE_OVERRUN):
+            # the cap cuts the tie class short: any members may be kept
+            got = k_shortest_paths(sub, starts, ends, budget)
+            assert len(got) == budget == len({p.edges for p in got})
+            assert all(p.length == full[0].length for p in got)
+            for path in got:
+                nodes_passed = [net.link(path.link_ids[0]).from_node]
+                nodes_passed += [net.link(lid).to_node for lid in path.link_ids]
+                assert len(set(nodes_passed)) == len(nodes_passed)
+        for budget in (ties - _TIE_OVERRUN, ties - _TIE_OVERRUN + 1, 40, ties):
+            assert_same_paths(k_shortest_paths(sub, starts, ends, budget), full[:budget])
+
     def test_output_is_prefix_of_full_ranking(self):
         rng = np.random.default_rng(7)
         net, sub, starts, ends = _random_instance(rng)
@@ -388,25 +440,21 @@ class TestKShortest:
 
 
 def _grid_4x4():
-    return build_network(*_grid_4x4_rows(), split_length=100.0)
+    return build_network(*_grid_rows(4), split_length=100.0)
 
 
-def _grid_4x4_rows():
-    nodes = []
-    for r in range(4):
-        for c in range(4):
-            nodes.append((r * 4 + c, c * 300.0, r * 300.0))
+def _grid_rows(n, rng=None):
+    """Two-way n x n grid with 300 m blocks. With ``rng``, each link's length
+    is drawn from [240, 360] m instead, so that paths almost never tie."""
+    nodes = [(r * n + c, c * 300.0, r * 300.0) for r in range(n) for c in range(n)]
     links = []
-    lid = 0
-    for r in range(4):
-        for c in range(4):
-            nid = r * 4 + c
-            if c + 1 < 4:
-                links.append((lid, nid, nid + 1, 300.0, None)); lid += 1
-                links.append((lid, nid + 1, nid, 300.0, None)); lid += 1
-            if r + 1 < 4:
-                links.append((lid, nid, nid + 4, 300.0, None)); lid += 1
-                links.append((lid, nid + 4, nid, 300.0, None)); lid += 1
+    for r in range(n):
+        for c in range(n):
+            nid = r * n + c
+            for nb in ([nid + 1] if c + 1 < n else []) + ([nid + n] if r + 1 < n else []):
+                for a, b in ((nid, nb), (nb, nid)):
+                    length = 300.0 if rng is None else float(rng.uniform(240.0, 360.0))
+                    links.append((len(links), a, b, length, None))
     return nodes, links
 
 
