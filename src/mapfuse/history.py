@@ -310,7 +310,7 @@ class HistoryStore:
         ``prefix`` namespaces the stored ids so a warm start cannot collide
         with the session's own trajectory ids.
         """
-        known = {edge.key for edge in self.network.iter_edges()}
+        known = {key for link in self.network.links.values() for key in link.edge_keys}
         per_trip: dict[str, dict[int, tuple[EdgeKey | None, tuple[EdgeKey, ...] | None]]] = {}
         try:
             with open(path, encoding="utf-8") as fh:

@@ -80,20 +80,22 @@ class Link:
     x1: float
     y1: float
     edges: tuple[Edge, ...]
+    edge_keys: tuple[EdgeKey, ...]  # built once; the spatial grid shares these tuples
 
 
 class SpatialGrid:
-    """Uniform grid over edge bounding boxes.
+    """Uniform grid over edge bounding boxes; each cell maps keys to edges.
 
-    Queries return a superset of the edges within the radius (no false
-    negatives); callers filter by true distance.
+    Queries merge the cells they cover and return the edges: a superset of
+    the edges within the radius (no false negatives), each once, in first
+    insertion order. Callers filter by true distance.
     """
 
     def __init__(self, cell_size: float):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = cell_size
-        self._cells: dict[tuple[int, int], list[EdgeKey]] = {}
+        self._cells: dict[tuple[int, int], dict[EdgeKey, Edge]] = {}
         self._extent = (0, 0, -1, -1)  # cell range holding every occupied cell
 
     def _cell_range(self, xmin, ymin, xmax, ymax):
@@ -101,7 +103,7 @@ class SpatialGrid:
         return (math.floor(xmin / c), math.floor(ymin / c),
                 math.floor(xmax / c), math.floor(ymax / c))
 
-    def insert(self, edge: Edge) -> None:
+    def insert(self, key: EdgeKey, edge: Edge) -> None:
         i0, j0, i1, j1 = self._cell_range(min(edge.x0, edge.x1), min(edge.y0, edge.y1),
                                           max(edge.x0, edge.x1), max(edge.y0, edge.y1))
         a0, b0, a1, b1 = self._extent
@@ -109,21 +111,21 @@ class SpatialGrid:
             self._extent = (min(i0, a0), min(j0, b0), max(i1, a1), max(j1, b1))
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
-                self._cells.setdefault((i, j), []).append(edge.key)
+                self._cells.setdefault((i, j), {})[key] = edge
 
-    def query_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[EdgeKey]:
+    def query_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[Edge]:
         # clip to the occupied cells, so a huge box costs no more than the grid
         i0, j0, i1, j1 = self._cell_range(xmin, ymin, xmax, ymax)
         a0, b0, a1, b1 = self._extent
         i0, j0, i1, j1 = max(i0, a0), max(j0, b0), min(i1, a1), min(j1, b1)
-        seen: dict[EdgeKey, None] = {}
+        seen: dict[EdgeKey, Edge] = {}
+        cells = self._cells
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
-                for key in self._cells.get((i, j), ()):
-                    seen[key] = None
-        return list(seen)
+                seen.update(cells.get((i, j), ()))
+        return list(seen.values())
 
-    def query_radius(self, x: float, y: float, radius: float) -> list[EdgeKey]:
+    def query_radius(self, x: float, y: float, radius: float) -> list[Edge]:
         return self.query_bbox(x - radius, y - radius, x + radius, y + radius)
 
 
@@ -147,8 +149,8 @@ class RoadNetwork:
         grid_cell = max(2.0 * split_length, 100.0)
         self._grid = SpatialGrid(grid_cell)
         for link in self.links.values():
-            for edge in link.edges:
-                self._grid.insert(edge)
+            for key, edge in zip(link.edge_keys, link.edges):
+                self._grid.insert(key, edge)
         self._spectrum_lock = threading.RLock()
         self._adjacency: np.ndarray | None = None
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
@@ -175,10 +177,10 @@ class RoadNetwork:
 
     def edges_near(self, x: float, y: float, radius: float) -> list[Edge]:
         """Superset of the edges within ``radius`` of (x, y)."""
-        return [self.edge(k) for k in self._grid.query_radius(x, y, radius)]
+        return self._grid.query_radius(x, y, radius)
 
     def edges_in_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[Edge]:
-        return [self.edge(k) for k in self._grid.query_bbox(xmin, ymin, xmax, ymax)]
+        return self._grid.query_bbox(xmin, ymin, xmax, ymax)
 
     def project_point_to_edge(self, x: float, y: float, edge: Edge) -> tuple[SegmentProjection, float]:
         """Project a planar point onto an edge.
@@ -331,7 +333,7 @@ class _NetworkBuilder:
             ))
             cum += el
         self.links[lid] = Link(lid, from_node, to_node, length, bearing,
-                               a.x, a.y, b.x, b.y, tuple(edges))
+                               a.x, a.y, b.x, b.y, tuple(edges), tuple(e.key for e in edges))
 
     def network(self) -> RoadNetwork:
         if not self.nodes:

@@ -19,8 +19,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
-from itertools import repeat
 from typing import Container, Iterable, Sequence
 
 from .geometry import bearing_inclination
@@ -145,51 +145,87 @@ def ellipse_region(p_prev: tuple[float, float], p_cur: tuple[float, float],
 
 @dataclass(frozen=True)
 class SubGraph:
-    """Edges of the network usable between two probes."""
+    """Links of the network usable between two probes.
+
+    ``kept`` holds the kept edges of the candidate links, which is all that
+    ``segment_usable`` reads besides ``usable_links``. ``edge_keys``, every
+    kept edge, is worked out on demand from ``region`` and
+    ``candidate_points``; only the debug dump and the tests read it.
+    """
 
     network: RoadNetwork
-    edge_keys: frozenset[EdgeKey]
     usable_links: frozenset[int]
+    kept: frozenset[EdgeKey] = frozenset()
+    region: EllipseRegion | None = None     # None: the whole network
+    candidate_points: frozenset = frozenset()
 
     @classmethod
     def whole(cls, network: RoadNetwork) -> "SubGraph":
-        keys = frozenset(e.key for e in network.iter_edges())
-        return cls(network, keys, frozenset(network.link_ids))
+        return cls(network, frozenset(network.link_ids))
+
+    @cached_property
+    def edge_keys(self) -> frozenset[EdgeKey]:
+        if self.region is None:
+            return frozenset(k for link in self.network.links.values() for k in link.edge_keys)
+        return frozenset(e.key for e in self.network.edges_in_bbox(*self.region.bbox())
+                         if _edge_kept(self.region, self.candidate_points, e))
 
     def segment_usable(self, link_id: int, first_index: int, last_index: int) -> bool:
-        return all((link_id, i) in self.edge_keys for i in range(first_index, last_index + 1))
+        """Whether edges ``first_index``..``last_index`` of a usable or a
+        candidate link are all kept."""
+        return link_id in self.usable_links or all(
+            (link_id, i) in self.kept for i in range(first_index, last_index + 1))
+
+
+def _edge_kept(region: EllipseRegion, points: Container, edge: Edge) -> bool:
+    """The per-edge rule: both side points inside, or one side point inside
+    that is a candidate edge's side point."""
+    in_from = region.contains(edge.x0, edge.y0)
+    in_to = region.contains(edge.x1, edge.y1)
+    return (in_from and (in_to or edge.from_point in points)) or \
+        (in_to and edge.to_point in points)
 
 
 def build_subgraph(network: RoadNetwork, region: EllipseRegion,
                    start_candidates: Sequence[CandidateEdge],
                    end_candidates: Sequence[CandidateEdge]) -> SubGraph:
-    """Trim the network to the reachability region.
+    """Trim the network to the reachability region, link by link.
 
-    An edge stays when both side nodes are inside, or when one side node
-    belongs to a candidate edge and that node is inside. A link is usable
-    end to end only when all of its edges stay. Only the edges in the
-    region's bbox and the links that own a kept edge are visited, so the
-    cost follows the bbox, not the size of the network.
+    Edges follow one rule (``_edge_kept``), and a link is usable end to end
+    when all of its edges are kept. Links are straight, their edges
+    interpolate them and the ellipse is convex, so for a link that holds no
+    candidate edge that comes down to its end nodes: it is usable when both
+    are inside, or when it has one edge and an inside end node is a
+    candidate's side point. Each end node is tested once per call. A
+    candidate link applies the edge rule to its own edges. Only the links
+    that own an edge in the region's bbox are visited, so the cost follows
+    the bbox, not the size of the network.
     """
-    candidate_points = set()
-    for cand in list(start_candidates) + list(end_candidates):
-        candidate_points.add(cand.edge.from_point)
-        candidate_points.add(cand.edge.to_point)
-    kept: set[EdgeKey] = set()
-    xmin, ymin, xmax, ymax = region.bbox()
-    for edge in network.edges_in_bbox(xmin, ymin, xmax, ymax):
-        in_from = region.contains(edge.x0, edge.y0)
-        in_to = region.contains(edge.x1, edge.y1)
-        if in_from and in_to:
-            kept.add(edge.key)
-        elif (in_from and edge.from_point in candidate_points) or \
-             (in_to and edge.to_point in candidate_points):
-            kept.add(edge.key)
-    usable = set()
-    for lid in {key[0] for key in kept}:
-        if all((lid, i) in kept for i in range(1, len(network.link(lid).edges) + 1)):
-            usable.add(lid)
-    return SubGraph(network, frozenset(kept), frozenset(usable))
+    points, candidate_links = set(), set()
+    for cand in (*start_candidates, *end_candidates):
+        points.update((cand.edge.from_point, cand.edge.to_point))
+        candidate_links.add(cand.edge.link_id)
+    nodes = network.nodes
+    inside: dict[int, bool] = {}
+    kept: list[EdgeKey] = []
+    usable = []
+    for lid in {edge.link_id for edge in network.edges_in_bbox(*region.bbox())}:
+        link = network.link(lid)
+        if lid in candidate_links:
+            keys = [k for k, e in zip(link.edge_keys, link.edges) if _edge_kept(region, points, e)]
+            kept += keys
+            if len(keys) == len(link.edges):
+                usable.append(lid)
+            continue
+        a, b = link.from_node, link.to_node
+        for nid in (a, b):
+            if nid not in inside:
+                inside[nid] = region.contains(nodes[nid].x, nodes[nid].y)
+        in_a, in_b = inside[a], inside[b]
+        if (in_a and in_b) or (len(link.edges) == 1 and ((in_a and a in points)
+                                                         or (in_b and b in points))):
+            usable.append(lid)
+    return SubGraph(network, frozenset(usable), frozenset(kept), region, frozenset(points))
 
 
 @dataclass(frozen=True)
@@ -337,7 +373,7 @@ class _SearchGraph:
         return nodes
 
     def to_candidate_path(self, arcs: Sequence[int]) -> CandidatePath:
-        net = self.network
+        link = self.network.link
         start = end = None
         link_ids: list[int] = []
         edges: list[EdgeKey] = []
@@ -348,16 +384,16 @@ class _SearchGraph:
             if kind == "start":
                 start = self.start_candidates[self.arc_payload[arc]]
                 lid = start.edge.link_id
-                first, last = start.edge.index, len(net.link(lid).edges)
+                keys = link(lid).edge_keys[start.edge.index - 1:]
             elif kind == "link":
                 lid = self.arc_payload[arc]
-                first, last = 1, len(net.link(lid).edges)
+                keys = link(lid).edge_keys
             else:  # end
                 end = self.end_candidates[self.arc_payload[arc]]
                 lid = end.edge.link_id
-                first, last = 1, end.edge.index
+                keys = link(lid).edge_keys[:end.edge.index]
             link_ids.append(lid)
-            edges.extend(zip(repeat(lid), range(first, last + 1)))
+            edges += keys
         assert start is not None and end is not None
         length = math.fsum(self.arc_weight[a] for a in arcs)
         return CandidatePath(start, end, tuple(link_ids), tuple(edges), length)
@@ -379,7 +415,7 @@ def _trivial_paths(start_candidates: Sequence[CandidateEdge],
             if ec.link_offset < sc.link_offset:
                 continue
             link = network.link(sc.edge.link_id)
-            edges = tuple(e.key for e in link.edges[sc.edge.index - 1:ec.edge.index])
+            edges = link.edge_keys[sc.edge.index - 1:ec.edge.index]
             out.append(CandidatePath(sc, ec, (link.id,), edges,
                                      ec.link_offset - sc.link_offset))
     return out

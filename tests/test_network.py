@@ -147,6 +147,22 @@ def test_huge_query_costs_no_more_than_the_grid():
     assert net.edges_near(1e9, 1e9, 10.0) == []
 
 
+def test_links_and_the_grid_share_edges_and_keys():
+    # each query hands out the network's own Edge objects, each once, and the
+    # grid's keys are the tuples the links built
+    net = _random_network(seed=5, n_nodes=12, n_links=25)
+    for lid in net.link_ids:
+        link = net.link(lid)
+        assert link.edge_keys == tuple(e.key for e in link.edges)
+    everything = net.edges_in_bbox(-1e9, -1e9, 1e9, 1e9)
+    assert sorted(map(id, everything)) == sorted(map(id, net.iter_edges()))
+    some = net.edges_in_bbox(500.0, 800.0, 1900.0, 2100.0)
+    assert 0 < len(some) < len(everything) and len(set(map(id, some))) == len(some)
+    assert all(e is net.edge(e.key) for e in some)
+    for cell in net._grid._cells.values():
+        assert all(key is net.link(key[0]).edge_keys[key[1] - 1] for key in cell)
+
+
 def test_csv_round_trip(tmp_path):
     net = build_network([(0, 0.0, 0.0), (1, 130.0, 0.0), (2, 130.0, 260.0)],
                         [(0, 0, 1, None, None), (1, 1, 2, None, None)])

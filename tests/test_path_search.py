@@ -5,9 +5,11 @@ import pytest
 
 from mapfuse.geometry import bearing_inclination
 from mapfuse import path_search
-from mapfuse.path_search import (_TIE_OVERRUN, CandidateEdge, SubGraph, build_subgraph,
-                                 candidate_path_budget, carried_candidate, ellipse_region,
-                                 find_candidate_edges, k_shortest_paths)
+from mapfuse.network import RoadNetwork
+from mapfuse.path_search import (_TIE_OVERRUN, CandidateEdge, EllipseRegion, SubGraph,
+                                 build_subgraph, candidate_path_budget, carried_candidate,
+                                 ellipse_region, find_candidate_edges, k_shortest_paths,
+                                 subgraph_geojson)
 
 from conftest import build_network, net_xy
 from oracles import assert_same_paths, enumerate_candidate_paths
@@ -244,6 +246,88 @@ class TestSubgraph:
             exceptions += sum(1 for e in edges if not (region.contains(e.x0, e.y0)
                                                        and region.contains(e.x1, e.y1)))
         assert exceptions > 0
+
+    def test_candidate_ranges_and_node_exception_follow_the_rule_on_every_edge(self):
+        rng = np.random.default_rng(5)
+        through_a_candidate_node = 0
+        for _ in range(60):
+            net, region, starts, ends = _random_trim_instance(rng)
+            sub = build_subgraph(net, region, starts, ends)
+            keys, usable = _trim_every_edge(net, region, starts, ends)
+            assert sub.usable_links == usable
+            for c in starts + ends:
+                lid, n = c.edge.link_id, len(net.link(c.edge.link_id).edges)
+                first, last = (c.edge.index, n) if c in starts else (1, c.edge.index)
+                assert sub.segment_usable(lid, first, last) == \
+                    all((lid, i) in keys for i in range(first, last + 1))
+            # usable links that hold no candidate edge but have an end node outside
+            candidate_links = {c.edge.link_id for c in starts + ends}
+            exceptions = [net.link(lid) for lid in usable - candidate_links
+                          if not all(region.contains(net.nodes[nid].x, net.nodes[nid].y)
+                                     for nid in (net.link(lid).from_node, net.link(lid).to_node))]
+            assert all(len(link.edges) == 1 for link in exceptions)
+            through_a_candidate_node += bool(exceptions)
+        assert through_a_candidate_node > 0
+
+    def test_single_edge_link_usable_through_a_candidate_node(self):
+        # node 1 alone is inside. The one-edge link 0 -> 1 is usable because
+        # node 1 is the candidate's side point; the two-edge link 3 -> 1 is not,
+        # though its last edge stays, and the candidate link keeps its first edge.
+        nodes = [(0, 0.0, 0.0), (1, 100.0, 0.0), (2, 400.0, 0.0), (3, 100.0, 300.0)]
+        links = [(0, 0, 1, None, None), (1, 1, 2, None, None), (2, 3, 1, None, None)]
+        net = build_network(nodes, links, split_length=150.0)
+        cand = carried_candidate(net, (1, 1), 10.0)
+        region = ellipse_region(net_xy(net, 100.0, 0.0), net_xy(net, 110.0, 0.0),
+                                0.5, 0.5, 60.0)
+        sub = build_subgraph(net, region, [cand], [])
+        assert sub.usable_links == {0}
+        assert sub.segment_usable(1, 1, 1) and not sub.segment_usable(1, 1, 2)
+        assert sub.edge_keys == {(0, 1), (1, 1), (2, 2)}
+        assert build_subgraph(net, region, [], []).usable_links == frozenset()
+
+    def test_one_bbox_query_and_one_containment_test_per_node(self, monkeypatch):
+        net = build_network(*_grid_rows(5, np.random.default_rng(3)), split_length=100.0)
+        starts, ends = _single_candidates(net, _find_link(net, 6, 7), 30.0,
+                                          _find_link(net, 8, 13), 60.0)
+        # covers the middle rows of the grid, not its corners or top rows
+        region = ellipse_region(net_xy(net, 300.0, 300.0), net_xy(net, 900.0, 300.0),
+                                10.0, 10.0, 60.0)
+        edges_in_bbox, contains = RoadNetwork.edges_in_bbox, EllipseRegion.contains
+        queries, tests = [], []
+        monkeypatch.setattr(RoadNetwork, "edges_in_bbox",
+                            lambda self, *box: queries.append(box) or edges_in_bbox(self, *box))
+        monkeypatch.setattr(EllipseRegion, "contains",
+                            lambda self, x, y: tests.append((x, y)) or contains(self, x, y))
+        sub = build_subgraph(net, region, starts, ends)
+        assert len(queries) == 1
+        in_box = [net.link(lid) for lid in {e.link_id for e in edges_in_bbox(net, *region.bbox())}]
+        candidate_edges = sum(len(net.link(c.edge.link_id).edges) for c in starts + ends)
+        ceiling = len({nid for link in in_box for nid in (link.from_node, link.to_node)}) \
+            + 2 * candidate_edges
+        # 39 here, all used; testing both ends of every edge in the box made 474
+        assert len(tests) <= ceiling
+        assert sub.usable_links == _trim_every_edge(net, region, starts, ends)[1]
+
+    def test_debug_dump_draws_the_rule_on_every_edge(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            net, region, starts, ends = _random_trim_instance(rng)
+            features = subgraph_geojson(build_subgraph(net, region, starts, ends))["features"]
+            drawn = [(f["properties"]["link"], f["properties"]["edge"]) for f in features]
+            assert len(drawn) == len(set(drawn))
+            assert set(drawn) == _trim_every_edge(net, region, starts, ends)[0]
+
+
+def _random_trim_instance(rng):
+    """A random network, candidates and an ellipse whose foci are candidate
+    projections, as in matching, so candidate edges often cross its edge."""
+    net, _, starts, ends = _random_instance(rng)
+    foci = [(c.x, c.y) for c in starts + ends]
+    i, j = rng.integers(0, len(foci), size=2)
+    region = ellipse_region(foci[i], foci[j], float(rng.uniform(1.0, 30.0)), 0.0, 60.0)
+    starts = starts[:int(rng.integers(0, len(starts) + 1))]
+    ends = ends[:int(rng.integers(0, len(ends) + 1))]
+    return net, region, starts, ends
 
 
 def _trim_every_edge(net, region, starts, ends):
