@@ -3,7 +3,7 @@
 All pipeline constants are flags; their defaults (the deployed values) and
 range checks live in MatcherConfig. A JSON config file can mirror any flag
 (keys use underscores); explicit flags win. Exit codes: 0 success, 2
-input-format error, 3 empty result.
+input-format error or a file that cannot be written, 3 empty result.
 """
 from __future__ import annotations
 
@@ -456,6 +456,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except InputFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path that cannot be written; the text names it
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except EmptyResultError as exc:
         print(f"empty result: {exc}", file=sys.stderr)

@@ -24,6 +24,11 @@ EdgeKey = tuple[int, int]
 # to avoid degenerate projections.
 MIN_EDGE_LENGTH = 1e-3
 
+# A network is refused before it is built when splitting its links would
+# give it more edges than this: at about 520 B an edge, 2,000,000 edges take
+# about 1 GB.
+MAX_EDGES = 2_000_000
+
 _Row = TypeVar("_Row")
 
 
@@ -270,6 +275,7 @@ class _NetworkBuilder:
         self.projector: PlanarProjector | None = None
         self.nodes: dict[int, Node] = {}
         self.links: dict[int, Link] = {}
+        self.n_edges = 0
 
     def add_node(self, nid, lon, lat) -> None:
         nid, lon, lat = int(nid), float(lon), float(lat)
@@ -316,7 +322,13 @@ class _NetworkBuilder:
                 raise InputFormatError(f"link {lid} has coincident endpoints and no bearing")
             bearing = segment_bearing(a.x, a.y, b.x, b.y)
 
+        # the link gets ceil(length / split_length) edges at most, and
+        # ceil(x) > k exactly when x > k: comparing x also copes with x = inf
+        if length / self.split_length > MAX_EDGES - self.n_edges:
+            raise InputFormatError(f"link {lid}: split length {self.split_length} m would give "
+                                   f"the network more than {MAX_EDGES} edges")
         edge_lengths = _split_link(length, self.split_length)
+        self.n_edges += len(edge_lengths)
         edges = []
         cum = 0.0
         m = len(edge_lengths)

@@ -1,10 +1,10 @@
 """Candidate projection edges, reachability ellipse, and top-K path search.
 
 Between two probes the search runs on the intersection-node graph: links are
-arcs, and partial traversals of the anchor links enter through virtual
-source/sink connectors weighted by the projection offsets. Subdivision nodes
-never branch, so this is exactly equivalent to searching edge by edge while
-being several times smaller.
+arcs, and the partial traversals of the anchor links are arcs out of a source
+and into a sink, weighted by the projection offsets. Subdivision nodes never
+branch, so this is exactly equivalent to searching edge by edge while being
+several times smaller.
 
 The top-K search is Yen's with lazy spur searches: one shortest-path tree
 towards the sink bounds each deviation from below, a deviation is searched
@@ -260,46 +260,41 @@ def candidate_path_budget(probe_interval: float, floor: int = 6, cap: int = 200)
 # -- search graph ------------------------------------------------------------
 
 class _SearchGraph:
-    """Node-level graph with virtual per-candidate connectors."""
+    """Node-level graph: a usable link is an arc (payload: its id), a start
+    candidate an arc from the source to its link's end node, an end candidate
+    one from its link's start node to the sink (payload: the candidate), and
+    a forward same-link pair one from the source to the sink (payload: the
+    pair). Each weighs the part of its link that it covers."""
 
     def __init__(self, subgraph: SubGraph,
                  start_candidates: Sequence[CandidateEdge],
                  end_candidates: Sequence[CandidateEdge]):
-        net = subgraph.network
-        self.network = net
-        self.subgraph = subgraph
-        self.start_candidates = list(start_candidates)
-        self.end_candidates = list(end_candidates)
+        self.network = net = subgraph.network
         self.arc_dst: list[object] = []
         self.arc_weight: list[float] = []
-        self.arc_kind: list[str] = []      # "link" | "start" | "end" | "hop"
         self.arc_payload: list[object] = []
         self.adj: dict[object, list[int]] = {}
 
         for lid in sorted(subgraph.usable_links):
             link = net.link(lid)
-            self._add_arc(link.from_node, link.to_node, link.length, "link", lid)
-        for i, cand in enumerate(self.start_candidates):
+            self._add_arc(link.from_node, link.to_node, link.length, lid)
+        for cand in start_candidates:
             link = net.link(cand.edge.link_id)
-            if not subgraph.segment_usable(link.id, cand.edge.index, len(link.edges)):
-                continue
-            remaining = link.length - cand.link_offset
-            node = ("s", i)
-            self._add_arc(_SRC, node, remaining, "start", i)
-            self._add_arc(node, link.to_node, 0.0, "hop", None)
-        for j, cand in enumerate(self.end_candidates):
+            if subgraph.segment_usable(link.id, cand.edge.index, len(link.edges)):
+                self._add_arc(_SRC, link.to_node, link.length - cand.link_offset, cand)
+        for cand in end_candidates:
             link = net.link(cand.edge.link_id)
-            if not subgraph.segment_usable(link.id, 1, cand.edge.index):
-                continue
-            node = ("e", j)
-            self._add_arc(link.from_node, node, cand.link_offset, "end", j)
-            self._add_arc(node, _SNK, 0.0, "hop", None)
+            if subgraph.segment_usable(link.id, 1, cand.edge.index):
+                self._add_arc(link.from_node, _SNK, cand.link_offset, cand)
+        for sc in start_candidates:
+            for ec in end_candidates:
+                if sc.edge.link_id == ec.edge.link_id and ec.link_offset >= sc.link_offset:
+                    self._add_arc(_SRC, _SNK, ec.link_offset - sc.link_offset, (sc, ec))
 
-    def _add_arc(self, src, dst, weight, kind, payload) -> None:
+    def _add_arc(self, src, dst, weight, payload) -> None:
         arc = len(self.arc_dst)
         self.arc_dst.append(dst)
         self.arc_weight.append(weight)
-        self.arc_kind.append(kind)
         self.arc_payload.append(payload)
         self.adj.setdefault(src, []).append(arc)
 
@@ -366,66 +361,33 @@ class _SearchGraph:
                     counter += 1
         return cost, toward
 
-    def node_sequence(self, arcs: Sequence[int]) -> list[object]:
-        nodes = [_SRC]
-        for arc in arcs:
-            nodes.append(self.arc_dst[arc])
-        return nodes
-
     def to_candidate_path(self, arcs: Sequence[int]) -> CandidatePath:
+        """The first arc carries the start candidate and the last the end
+        candidate; a one-arc path is a single-link traversal."""
         link = self.network.link
-        start = end = None
-        link_ids: list[int] = []
-        edges: list[EdgeKey] = []
-        for arc in arcs:
-            kind = self.arc_kind[arc]
-            if kind == "hop":
-                continue
-            if kind == "start":
-                start = self.start_candidates[self.arc_payload[arc]]
-                lid = start.edge.link_id
-                keys = link(lid).edge_keys[start.edge.index - 1:]
-            elif kind == "link":
-                lid = self.arc_payload[arc]
-                keys = link(lid).edge_keys
-            else:  # end
-                end = self.end_candidates[self.arc_payload[arc]]
-                lid = end.edge.link_id
-                keys = link(lid).edge_keys[:end.edge.index]
-            link_ids.append(lid)
-            edges += keys
-        assert start is not None and end is not None
+        payload = self.arc_payload
+        if len(arcs) == 1:
+            start, end = payload[arcs[0]]
+            link_ids = (start.edge.link_id,)
+            edges = link(start.edge.link_id).edge_keys[start.edge.index - 1:end.edge.index]
+        else:
+            start, end = payload[arcs[0]], payload[arcs[-1]]
+            link_ids = (start.edge.link_id, *(payload[a] for a in arcs[1:-1]), end.edge.link_id)
+            keys = list(link(link_ids[0]).edge_keys[start.edge.index - 1:])
+            for lid in link_ids[1:-1]:
+                keys += link(lid).edge_keys
+            keys += link(link_ids[-1]).edge_keys[:end.edge.index]
+            edges = tuple(keys)
         length = math.fsum(self.arc_weight[a] for a in arcs)
-        return CandidatePath(start, end, tuple(link_ids), tuple(edges), length)
-
-
-def _trivial_paths(start_candidates: Sequence[CandidateEdge],
-                   end_candidates: Sequence[CandidateEdge],
-                   network: RoadNetwork) -> list[CandidatePath]:
-    """Forward partial traversals of a single link (no intersection crossed).
-
-    These cannot be expressed on the node graph and cover the common case of
-    consecutive probes on the same link, including a stopped vehicle.
-    """
-    out = []
-    for sc in start_candidates:
-        for ec in end_candidates:
-            if sc.edge.link_id != ec.edge.link_id:
-                continue
-            if ec.link_offset < sc.link_offset:
-                continue
-            link = network.link(sc.edge.link_id)
-            edges = link.edge_keys[sc.edge.index - 1:ec.edge.index]
-            out.append(CandidatePath(sc, ec, (link.id,), edges,
-                                     ec.link_offset - sc.link_offset))
-    return out
+        return CandidatePath(start, end, link_ids, edges, length)
 
 
 def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]]:
     """Loopless shortest arc paths from source to sink, cheapest first.
 
     Enumerates up to ``budget`` paths plus whatever is needed to finish the
-    tie class at the boundary, within a fixed overrun. Spur searches are
+    tie class at the boundary, within a fixed overrun; the budget and the
+    overrun count single-link traversals like any path. Spur searches are
     lazy: one shortest-path tree towards the sink gives ``h(v)``, the cost
     from ``v`` to the sink, and a spur enters the pool keyed by its prefix
     cost plus the least ``w(a) + h(head of a)`` over its allowed arcs, less
@@ -469,7 +431,7 @@ def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]
         if pool[0][0] > kth + _TIE_EPS or len(selected) >= budget + _TIE_OVERRUN:
             break
         key, order, arcs_p, index, lazy = heappop(pool)
-        node_seq = graph.node_sequence(arcs_p)
+        node_seq = [_SRC] + [arc_dst[a] for a in arcs_p]
         if lazy is not None:
             removed_arcs, best, prefix_cost = lazy
             root = set(node_seq[:index + 1])
@@ -488,7 +450,7 @@ def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]
         at = {node: i for i, node in enumerate(node_seq)}
         prefix_cost = 0.0
         branch = tree
-        for i in range(len(arcs_p) - 1):
+        for i in range(len(arcs_p)):
             if i > 0:
                 prefix_cost += arc_weight[arcs_p[i - 1]]
                 branch = branch[arcs_p[i - 1]]
@@ -515,22 +477,18 @@ def k_shortest_paths(subgraph: SubGraph,
     """Up to ``budget`` loopless candidate paths, shortest first.
 
     Paths run from any start projection to any end projection. Ordering is
-    by traveled length, then link count, then lexicographic edge ids; the
-    result never contains two paths with the same edge sequence.
+    by traveled length, then link count, then lexicographic edge ids. No two
+    paths share an edge sequence provided no two start (or two end)
+    candidates lie on one edge, which holds for ``find_candidate_edges`` (one
+    per link) and for a single carried candidate: the search never repeats
+    an arc sequence, and distinct arc sequences then pass distinct edges.
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    paths = _trivial_paths(start_candidates, end_candidates, subgraph.network)
     graph = _SearchGraph(subgraph, start_candidates, end_candidates)
-    for _, arcs in _yen(graph, budget):
-        paths.append(graph.to_candidate_path(arcs))
-    unique: dict[tuple[EdgeKey, ...], CandidatePath] = {}
-    for path in paths:
-        prev = unique.get(path.edges)
-        if prev is None or path.sort_key < prev.sort_key:
-            unique[path.edges] = path
-    ranked = sorted(unique.values(), key=lambda p: p.sort_key)
-    return ranked[:budget]
+    paths = [graph.to_candidate_path(arcs) for _, arcs in _yen(graph, budget)]
+    paths.sort(key=lambda p: p.sort_key)
+    return paths[:budget]
 
 
 # -- debug dumps ---------------------------------------------------------------

@@ -416,6 +416,33 @@ def test_bad_synth_setting_is_2(tmp_path, capsys, flags, name):
     assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("match", "--out"), ("match", "--report"),
+                                           ("synth", "--out"), ("train-predictor", "--out")])
+def test_unwritable_output_is_2_and_named(fleet, tmp_path, capsys, command, flag):
+    bad = tmp_path / "missing" / "out"
+    out = str(tmp_path / "out")
+    argv = {"match": _match_argv(fleet, out),
+            "synth": ["synth", "--out", out, "--grid-cols", "3", "--grid-rows", "3",
+                      "--vehicles", "1"],
+            "train-predictor": ["train-predictor", "--nodes", str(fleet / "nodes.csv"),
+                                "--links", str(fleet / "links.csv"),
+                                "--states", str(fleet / "states.csv"), "--out", out,
+                                "--max-steps", "2", "--epochs", "1"]}[command]
+    if flag in argv:
+        argv[argv.index(flag) + 1] = str(bad)
+    else:
+        argv += [flag, str(bad)]
+    assert main(argv) == 2
+    assert str(bad) in capsys.readouterr().err
+
+
+def test_split_length_past_the_edge_limit_is_2(fleet, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mapfuse.network.MAX_EDGES", 100)
+    assert main(_match_argv(fleet, tmp_path / "m.csv", "--split-length", "1")) == 2
+    err = capsys.readouterr().err
+    assert "links.csv" in err and "split length 1.0 m" in err
+
+
 def test_every_pipeline_key_names_a_config_field():
     fields = {f.name for f in dataclasses.fields(MatcherConfig)}
     for key in set(_CONFIG_KEYS) - set(_CLI_DEFAULTS):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mapfuse import network
 from mapfuse.network import InputFormatError, load_network, load_network_csv, save_network_csv
 
 from conftest import build_network
@@ -28,6 +29,23 @@ def test_degenerate_tail_is_merged():
     assert len(lengths) == 2
     assert lengths[0] == 50.0
     assert lengths[1] == pytest.approx(50.0000005)
+
+
+def test_edge_limit_is_checked_before_a_link_is_split(monkeypatch):
+    monkeypatch.setattr(network, "MAX_EDGES", 8)
+    split = []
+    split_link = network._split_link
+    monkeypatch.setattr(network, "_split_link",
+                        lambda length, step: split.append(length) or split_link(length, step))
+    nodes = [(0, 0.0, 0.0), (1, 200.0, 0.0), (2, 400.0, 0.0)]
+    links = [(0, 0, 1, 200.0, None), (1, 1, 2, 200.0, None)]
+    assert len(list(build_network(nodes, links, split_length=50.0).iter_edges())) == 8
+    split.clear()
+    with pytest.raises(InputFormatError, match=r"link 1: split length 40.0 m .* 8 edges"):
+        build_network(nodes, links, split_length=40.0)
+    assert split == [200.0]   # link 1 was refused unsplit
+    with pytest.raises(InputFormatError, match="link 0"):
+        build_network(nodes, [(0, 0, 1, 1e300, None)], split_length=1e-9)
 
 
 def test_edge_lengths_sum_exactly_to_link_length():

@@ -522,6 +522,40 @@ class TestKShortest:
         expected = enumerate_candidate_paths(sub, starts, ends, budget=10)
         assert_same_paths(got, expected)
 
+    def test_single_link_traversal_is_built_once(self, monkeypatch):
+        # the same-link traversal comes out of the one search like any path:
+        # at budget 1 it is the only path built, with no loop path beside it
+        net = _grid_4x4()
+        lid = _westmost_link(net)[0]
+        starts, ends = _single_candidates(net, (lid, 1), 30.0, (lid, 2), 10.0)
+        built = []
+        candidate_path = path_search.CandidatePath
+        monkeypatch.setattr(path_search, "CandidatePath",
+                            lambda *args: built.append(args) or candidate_path(*args))
+        got = k_shortest_paths(SubGraph.whole(net), starts, ends, 1)
+        assert [(p.link_ids, p.edges, p.length) for p in got] == [
+            ((lid,), ((lid, 1), (lid, 2)), 80.0)]
+        assert len(built) == 1
+
+    def test_random_graphs_with_a_shared_link_match_brute_force(self):
+        # an end candidate forced onto a start candidate's link, ahead of it
+        # or behind it, at one or two candidates a side
+        rng = np.random.default_rng(44)
+        one_link = 0
+        for trial in range(20):
+            net, sub, starts, ends = _random_instance(rng)
+            link = net.link(starts[int(rng.integers(0, len(starts)))].edge.link_id)
+            edge = link.edges[int(rng.integers(0, len(link.edges)))]
+            forced = carried_candidate(net, edge.key, float(rng.uniform(0, edge.length)))
+            # no two end candidates on one edge
+            ends = [forced] + [c for c in ends[1:] if c.edge.key != edge.key]
+            full = enumerate_candidate_paths(sub, starts, ends)
+            for budget in range(1, 9):
+                got = k_shortest_paths(sub, starts, ends, budget)
+                assert_same_paths(got, full[:budget])
+            one_link += any(p.n_links == 1 for p in k_shortest_paths(sub, starts, ends, 8))
+        assert one_link > 0
+
 
 def _grid_4x4():
     return build_network(*_grid_rows(4), split_length=100.0)
