@@ -154,6 +154,16 @@ def _resolve_weights(args, config: dict) -> FusionWeights:
     return FusionWeights.calibrated_default()
 
 
+def _check_outputs(files: Sequence[str | None], dirs: Sequence[str | None] = ()) -> None:
+    """Fail before the work on an output that cannot be written; make the output dirs."""
+    for d in filter(None, dirs):
+        os.makedirs(d, exist_ok=True)
+    for path in filter(None, files):
+        parent = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not (os.path.isdir(parent) and os.access(parent, os.W_OK)):
+            raise OSError(f"cannot write {path}: not a file in a writable directory")
+
+
 def _record_geojson(network, record) -> dict:
     """One LineString per inferred segment of a match record."""
     features = [line_feature(network, seg, {"trajectory": record.trajectory_id, "segment": i})
@@ -164,6 +174,8 @@ def _record_geojson(network, record) -> dict:
 # -- subcommands ---------------------------------------------------------------
 
 def _cmd_match(args) -> int:
+    _check_outputs([args.out, args.states_out, args.history_log_out, args.report],
+                   [args.geojson_dir, args.debug_dir])
     config = _load_config(args.config)
     weights = _resolve_weights(args, config)
     mcfg = _build_matcher_config(args, config, weights=weights)
@@ -186,8 +198,7 @@ def _cmd_match(args) -> int:
         model = SpectralPredictor.load(args.model, network)
 
     session = MatchSession(network, mcfg, history=history, predictor_model=model)
-    if args.debug_dir:
-        session.debug_dir = args.debug_dir
+    session.debug_dir = args.debug_dir
     t_start = time.perf_counter()
     records = session.run(trajectories)
     elapsed = time.perf_counter() - t_start
@@ -198,7 +209,6 @@ def _cmd_match(args) -> int:
     if args.history_log_out:
         session.history.save_log(args.history_log_out)
     if args.geojson_dir:
-        os.makedirs(args.geojson_dir, exist_ok=True)
         for rec in records:
             fc = _record_geojson(network, rec)
             with open(os.path.join(args.geojson_dir, f"{rec.trajectory_id}.geojson"),
@@ -277,6 +287,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_train_predictor(args) -> int:
+    _check_outputs([args.out])
     mcfg = _build_matcher_config(args)
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     states = read_states_csv(args.states, network)
@@ -295,6 +306,7 @@ def _cmd_train_predictor(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    _check_outputs([args.out, args.samples_out])
     config = _load_config(args.config)
     # sampling runs with uninformed weights
     mcfg = _build_matcher_config(args, config, weights=FusionWeights.equal())

@@ -280,10 +280,10 @@ class MatchSession:
         """
         if jobs != 1:
             raise ValueError(f"jobs must be 1, got {jobs}")
-        interval = self.config.update_interval
         ordered = sorted(trajectories, key=lambda tr: (tr.t0, tr.id))
         out: list[MatchRecord] = []
-        for _, group in itertools.groupby(ordered, key=lambda tr: math.floor(tr.t0 / interval)):
+        for _, group in itertools.groupby(ordered,
+                                          key=lambda tr: self.traffic.interval_of(tr.t0)):
             records = [self.match_trajectory(traj) for traj in group]
             out.extend(records)
             if feedback:

@@ -2,14 +2,14 @@
 
 Links are straight directed segments between intersection nodes. Every link
 is cut into fixed-length edges, which are the unit of probe projection and
-of historical usage counting. The symmetric link adjacency matrix and its
-Laplacian eigendecomposition feed the traffic predictor.
+of historical usage counting. The Laplacian of the link graph (two links
+are adjacent when they share a node) and its eigendecomposition feed the
+traffic predictor.
 """
 from __future__ import annotations
 
 import csv
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
@@ -28,6 +28,11 @@ MIN_EDGE_LENGTH = 1e-3
 # give it more edges than this: at about 520 B an edge, 2,000,000 edges take
 # about 1 GB.
 MAX_EDGES = 2_000_000
+
+# The spectral predictor's Laplacian and eigenbasis are dense: at about 40 B a
+# link squared of peak memory, 5,000 links take about 1 GB. A network with
+# more links is refused before its Laplacian is built.
+MAX_SPECTRAL_LINKS = 5_000
 
 _Row = TypeVar("_Row")
 
@@ -135,11 +140,7 @@ class SpatialGrid:
 
 
 class RoadNetwork:
-    """Immutable directed road graph with subdivided links.
-
-    Safe for concurrent reads after construction; the eigendecomposition is
-    computed once behind a lock.
-    """
+    """Immutable directed road graph with subdivided links."""
 
     def __init__(self, nodes: Mapping[int, Node], links: Mapping[int, Link],
                  projector: PlanarProjector, split_length: float,
@@ -156,8 +157,6 @@ class RoadNetwork:
         for link in self.links.values():
             for key, edge in zip(link.edge_keys, link.edges):
                 self._grid.insert(key, edge)
-        self._spectrum_lock = threading.RLock()
-        self._adjacency: np.ndarray | None = None
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- lookups ----------------------------------------------------------
@@ -170,7 +169,7 @@ class RoadNetwork:
         return self.links[link_id].edges[index - 1]
 
     def link_row(self, link_id: int) -> int:
-        """Row of a link in the adjacency matrix / state vectors."""
+        """Row of a link in the Laplacian / state vectors."""
         return self._link_row[link_id]
 
     def n_links(self) -> int:
@@ -198,30 +197,23 @@ class RoadNetwork:
 
     # -- spectral structures ----------------------------------------------
 
-    def adjacency_matrix(self) -> np.ndarray:
-        """Symmetric 0/1 link adjacency: 1 iff two links share a node."""
-        if self._adjacency is None:
-            with self._spectrum_lock:
-                if self._adjacency is None:
-                    n = len(self.link_ids)
-                    a = np.zeros((n, n))
-                    by_node: dict[int, list[int]] = {}
-                    for lid in self.link_ids:
-                        link = self.links[lid]
-                        row = self._link_row[lid]
-                        by_node.setdefault(link.from_node, []).append(row)
-                        by_node.setdefault(link.to_node, []).append(row)
-                    for rows in by_node.values():
-                        for i in rows:
-                            for j in rows:
-                                if i != j:
-                                    a[i, j] = 1.0
-                    self._adjacency = a
-        return self._adjacency
-
     def laplacian_matrix(self) -> np.ndarray:
-        a = self.adjacency_matrix()
-        return np.diag(a.sum(axis=1)) - a
+        """``D - A`` of the link graph, where two links are adjacent iff they share a node."""
+        n = len(self.link_ids)
+        if n > MAX_SPECTRAL_LINKS:
+            raise InputFormatError(f"{self.links_name}: {n} links exceed the spectral "
+                                   f"predictor's limit of {MAX_SPECTRAL_LINKS}")
+        rows_at: dict[int, list[int]] = {}
+        for row, lid in enumerate(self.link_ids):
+            link = self.links[lid]
+            rows_at.setdefault(link.from_node, []).append(row)
+            rows_at.setdefault(link.to_node, []).append(row)
+        lap = np.zeros((n, n))
+        for rows in rows_at.values():
+            lap[np.ix_(rows, rows)] = -1.0
+        np.fill_diagonal(lap, 0.0)
+        np.fill_diagonal(lap, 0.0 - lap.sum(axis=1))  # 0.0 - keeps an isolated link's +0.0
+        return lap
 
     def laplacian_spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """Orthonormal eigenbasis and eigenvalues rescaled to [0, 1].
@@ -231,17 +223,14 @@ class RoadNetwork:
         keeps the spectral filters bounded while preserving eigenvectors.
         """
         if self._spectrum is None:
-            with self._spectrum_lock:
-                if self._spectrum is None:
-                    lap = self.laplacian_matrix()
-                    try:
-                        raw, u = np.linalg.eigh(lap)
-                    except np.linalg.LinAlgError as exc:
-                        raise ValueError(f"Laplacian eigendecomposition failed: {exc}") from exc
-                    raw = np.where(np.abs(raw) < 1e-12, 0.0, raw)
-                    top = raw.max() if raw.size else 0.0
-                    lam = raw / top if top > 0 else raw
-                    self._spectrum = (u, lam)
+            try:
+                raw, u = np.linalg.eigh(self.laplacian_matrix())
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"Laplacian eigendecomposition failed: {exc}") from exc
+            raw = np.where(np.abs(raw) < 1e-12, 0.0, raw)
+            top = raw.max() if raw.size else 0.0
+            lam = raw / top if top > 0 else raw
+            self._spectrum = (u, lam)
         return self._spectrum
 
 

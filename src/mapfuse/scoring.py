@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .geometry import bearing_inclination, segment_bearing
+from .geometry import bearing_inclination
 from .network import RoadNetwork
 from .path_search import CandidatePath
 
@@ -97,10 +97,8 @@ def kinematic_score(path: CandidatePath, v_prev: float, v_cur: float,
     would use the local direction; with straight links it equals the link
     direction.
     """
-    edge = path.end.edge
-    direction = segment_bearing(edge.x0, edge.y0, edge.x1, edge.y1)
     return (speed_weight(v_prev, v_cur, path.length, dt, decay)
-            * bearing_weight(probe_bearing, direction) * 100.0)
+            * bearing_weight(probe_bearing, path.end.edge.bearing) * 100.0)
 
 
 def normalize_scores(values: Sequence[float]) -> list[float]:

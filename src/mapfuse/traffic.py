@@ -97,10 +97,10 @@ def simplex_project(v: np.ndarray) -> np.ndarray:
 
 
 def _network_fingerprint(network: RoadNetwork) -> str:
-    h = hashlib.sha256()
-    h.update(",".join(map(str, network.link_ids)).encode())
-    h.update(np.ascontiguousarray(network.adjacency_matrix()).tobytes())
-    return h.hexdigest()[:16]
+    """Digest of the link table: each link id with its end nodes, in row order."""
+    table = ";".join(f"{lid},{network.links[lid].from_node},{network.links[lid].to_node}"
+                     for lid in network.link_ids)
+    return hashlib.sha256(table.encode()).hexdigest()[:16]
 
 
 class SpectralPredictor:
@@ -195,7 +195,7 @@ class SpectralPredictor:
 
     def save(self, path: str) -> None:
         payload = {
-            "format": 1,
+            "format": 2,
             "n_links": self.n_links,
             "max_steps": self.max_steps,
             "decay": self.decay.tolist(),
@@ -212,12 +212,12 @@ class SpectralPredictor:
                 payload = json.load(fh)
             if not isinstance(payload, dict):
                 raise ValueError("checkpoint is not a JSON object")
-            if payload.get("format") != 1:
-                raise ValueError(f"unsupported checkpoint format {payload.get('format')}")
+            if payload.get("format") != 2:
+                raise ValueError(f"checkpoint format {payload.get('format')} is not 2: retrain it")
             if payload["n_links"] != network.n_links():
                 raise ValueError("checkpoint does not match the network size")
             fingerprint = _network_fingerprint(network)
-            if payload.get("fingerprint") and payload["fingerprint"] != fingerprint:
+            if payload.get("fingerprint") != fingerprint:
                 raise ValueError("checkpoint was trained on a different network")
             filters = np.array(payload["filters"], dtype=float)
             decay = np.array(payload["decay"], dtype=float)

@@ -436,6 +436,41 @@ def test_unwritable_output_is_2_and_named(fleet, tmp_path, capsys, command, flag
     assert str(bad) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad_name", ["missing/side.json", "a_directory"])
+@pytest.mark.parametrize("command, spy", [("match", "mapfuse.cli.MatchSession.run"),
+                                          ("train-predictor", "mapfuse.cli.train_spectral"),
+                                          ("calibrate", "mapfuse.calibration.fit_weights")])
+def test_outputs_are_checked_before_the_work(fleet, tmp_path, capsys, monkeypatch,
+                                             command, spy, bad_name):
+    (tmp_path / "a_directory").mkdir()
+    bad = str(tmp_path / bad_name)
+    out = tmp_path / "out"
+    argv = {"match": _match_argv(fleet, out, "--report", bad),
+            "train-predictor": ["train-predictor", "--nodes", str(fleet / "nodes.csv"),
+                                "--links", str(fleet / "links.csv"),
+                                "--states", str(fleet / "states.csv"), "--out", bad,
+                                "--max-steps", "2"],
+            "calibrate": ["calibrate", "--nodes", str(fleet / "nodes.csv"),
+                          "--links", str(fleet / "links.csv"),
+                          "--probes", str(fleet / "probes.csv"), "--out", str(out),
+                          "--samples-out", bad]}[command]
+    calls = []
+    monkeypatch.setattr(spy, lambda *args, **kwargs: calls.append(args))
+    assert main(argv) == 2
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+    assert calls == []
+
+
+def test_spectral_size_limit_is_2(fleet, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mapfuse.network.MAX_SPECTRAL_LINKS", 10)
+    assert main(["train-predictor", "--nodes", str(fleet / "nodes.csv"),
+                 "--links", str(fleet / "links.csv"), "--states", str(fleet / "states.csv"),
+                 "--out", str(tmp_path / "model.json"), "--max-steps", "2"]) == 2
+    assert "limit of 10" in capsys.readouterr().err
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_split_length_past_the_edge_limit_is_2(fleet, tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("mapfuse.network.MAX_EDGES", 100)
     assert main(_match_argv(fleet, tmp_path / "m.csv", "--split-length", "1")) == 2

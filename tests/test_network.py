@@ -84,11 +84,10 @@ def test_bearing_from_geometry():
 
 class TestSpectral:
     def test_two_connected_links(self):
-        # two links sharing node 1: A = [[0,1],[1,0]], eigenvalues {0, 2} -> {0, 1}
+        # two links sharing node 1: L = [[1,-1],[-1,1]], eigenvalues {0, 2} -> {0, 1}
         net = build_network([(0, 0.0, 0.0), (1, 100.0, 0.0), (2, 200.0, 0.0)],
                             [(0, 0, 1, None, None), (1, 1, 2, None, None)])
-        a = net.adjacency_matrix()
-        assert a.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+        assert net.laplacian_matrix().tolist() == [[1.0, -1.0], [-1.0, 1.0]]
         _, lam = net.laplacian_spectrum()
         assert sorted(lam.tolist()) == pytest.approx([0.0, 1.0])
         raw = np.linalg.eigvalsh(net.laplacian_matrix())
@@ -103,10 +102,9 @@ class TestSpectral:
 
     def test_adjacency_and_laplacian_invariants_random(self):
         net = _random_network(seed=7, n_nodes=14, n_links=30)
-        a = net.adjacency_matrix()
-        assert np.array_equal(a, a.T)
-        assert np.all(np.diag(a) == 0)
         lap = net.laplacian_matrix()
+        assert np.array_equal(lap, lap.T)
+        assert set(lap[~np.eye(len(lap), dtype=bool)].tolist()) <= {0.0, -1.0}  # -A
         assert np.allclose(lap.sum(axis=1), 0.0, atol=1e-12)
         u, lam = net.laplacian_spectrum()
         assert np.max(np.abs(u.T @ u - np.eye(len(lam)))) < 1e-8
@@ -121,6 +119,42 @@ class TestSpectral:
         rebuilt = u @ np.diag(lam) @ u.T
         rel = np.linalg.norm(rebuilt - lap_norm) / np.linalg.norm(lap_norm)
         assert rel < 1e-6
+
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_laplacian_is_bitwise_the_dense_reference(self, seed):
+        # random wiring plus two-way pairs and an isolated link, whose
+        # diagonal entry must be +0.0 as np.diag(A.sum(1)) - A gives
+        rng = np.random.default_rng(seed)
+        n_nodes = int(rng.integers(2, 30))
+        coords = [(i, float(rng.uniform(0, 3000)), float(rng.uniform(0, 3000)))
+                  for i in range(n_nodes + 2)]
+        links = []
+        for _ in range(int(rng.integers(1, 60))):
+            a, b = (int(v) for v in rng.choice(n_nodes, size=2, replace=False))
+            links.append((len(links), a, b, None, None))
+            if rng.random() < 0.3:
+                links.append((len(links), b, a, None, None))
+        links.append((len(links), n_nodes, n_nodes + 1, None, None))
+        net = build_network(coords, links)
+        n = net.n_links()
+        adj = np.zeros((n, n))
+        for i, li in enumerate(net.link_ids):
+            for j, lj in enumerate(net.link_ids):
+                ends_i = {net.link(li).from_node, net.link(li).to_node}
+                if i != j and ends_i & {net.link(lj).from_node, net.link(lj).to_node}:
+                    adj[i, j] = 1.0
+        reference = np.diag(adj.sum(axis=1)) - adj
+        assert net.laplacian_matrix().tobytes() == reference.tobytes()
+
+    def test_size_limit_is_checked_before_the_eigendecomposition(self, monkeypatch):
+        net = _random_network(seed=7, n_nodes=14, n_links=30)
+        monkeypatch.setattr(network, "MAX_SPECTRAL_LINKS", 29)
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigh", lambda *a: calls.append(a))
+        with pytest.raises(InputFormatError, match="30 links .* limit of 29"):
+            net.laplacian_spectrum()
+        assert calls == []
 
 
 def _random_network(seed, n_nodes, n_links):

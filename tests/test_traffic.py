@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mapfuse.network import InputFormatError
 from mapfuse.traffic import (SpectralPredictor, StateVector, TrafficConfig,
                              aggregate_interval, build_windows, decay_weights,
                              predict_naive, read_states_csv, simplex_project,
@@ -255,6 +256,32 @@ class TestCheckpoint:
         model.save(str(path))
         with pytest.raises(ValueError):
             SpectralPredictor.load(str(path), other)
+
+
+    @pytest.mark.parametrize("edit", [{"format": 1}, {"fingerprint": ""}])
+    def test_rejects_other_format_or_empty_fingerprint(self, tmp_path, edit):
+        net = chain_net(5)
+        path = tmp_path / "model.json"
+        SpectralPredictor.for_network(net, 2, 0.8).save(str(path))
+        payload = json.loads(path.read_text())
+        payload.update(edit)
+        path.write_text(json.dumps(payload))
+        with pytest.raises(InputFormatError, match="model.json"):
+            SpectralPredictor.load(str(path), net)
+
+    def test_fingerprint_ignores_split_length(self, tmp_path):
+        nodes = [(i, 200.0 * i, 0.0) for i in range(6)]
+        links = [(i, i, i + 1, 200.0, None) for i in range(5)]
+        path = tmp_path / "model.json"
+        SpectralPredictor.for_network(build_network(nodes, links, 50.0), 2, 0.8).save(str(path))
+        SpectralPredictor.load(str(path), build_network(nodes, links, 25.0))
+
+    def test_size_limit_names_the_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        SpectralPredictor.for_network(chain_net(5), 2, 0.8).save(str(path))
+        monkeypatch.setattr("mapfuse.network.MAX_SPECTRAL_LINKS", 4)
+        with pytest.raises(InputFormatError, match="model.json.*5 links .* limit of 4"):
+            SpectralPredictor.load(str(path), chain_net(5))
 
 
 def test_states_csv_round_trip(tmp_path):
