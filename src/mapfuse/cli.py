@@ -230,6 +230,7 @@ def _cmd_match(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _check_outputs([args.out, args.truth_out, args.nodes_out, args.links_out])
     split_length = _build_matcher_config(args).split_length
     with _input_errors():
         network = make_grid_network(args.grid_cols, args.grid_rows, args.spacing,
@@ -253,6 +254,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_downsample(args) -> int:
+    _check_outputs([args.out])
     trajectories = _load_trajectories(args.probes, _build_matcher_config(args).trip_gap)
     if not trajectories:
         raise EmptyResultError("no trajectories to downsample")

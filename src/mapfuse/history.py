@@ -102,8 +102,7 @@ class MatchRecord:
 
 
 def _edges_connected(network: RoadNetwork, a: EdgeKey, b: EdgeKey) -> bool:
-    if a[0] == b[0]:
-        return b[1] == a[1] + 1
+    """Whether edge ``b``, on another link than ``a``, directly follows it."""
     la, lb = network.link(a[0]), network.link(b[0])
     return a[1] == len(la.edges) and b[1] == 1 and la.to_node == lb.from_node
 
@@ -119,8 +118,8 @@ def validate_record(network: RoadNetwork, record: MatchRecord) -> None:
             raise ValueError("segment path attached to probe 0")
         if not path:
             raise ValueError(f"segment {i} has an empty path")
-        for a, b in zip(path, path[1:]):
-            if not _edges_connected(network, a, b):
+        for a, b in zip(path, path[1:]):  # within a link, the next edge is the next index
+            if (b[1] != a[1] + 1) if a[0] == b[0] else not _edges_connected(network, a, b):
                 raise ValueError(f"segment {i} path is disconnected at {a}->{b}")
         if record.matched_edges[i] != path[-1]:
             raise ValueError(f"probe {i} matched edge differs from its segment end-edge")
@@ -310,7 +309,17 @@ class HistoryStore:
         ``prefix`` namespaces the stored ids so a warm start cannot collide
         with the session's own trajectory ids.
         """
-        known = {key for link in self.network.links.values() for key in link.edge_keys}
+        keys = {f"{key[0]}:{key[1]}": key
+                for link in self.network.links.values() for key in link.edge_keys}
+        known = set(keys.values())
+
+        def resolve(text: str) -> tuple[EdgeKey, ...] | None:
+            """A field's edges as the network's own key tuples, however they are spelled."""
+            try:
+                return tuple([keys[item] for item in text.split(";")]) if text else None
+            except KeyError:  # another spelling, an unknown edge or bad text
+                return tuple(keys.get(f"{a}:{b}", (a, b)) for a, b in parse_edges(text))
+
         per_trip: dict[str, dict[int, tuple[EdgeKey | None, tuple[EdgeKey, ...] | None]]] = {}
         try:
             with open(path, encoding="utf-8") as fh:
@@ -321,8 +330,8 @@ class HistoryStore:
                     try:
                         tid, idx_s, edge_s, seg_s = line.split("|")
                         idx = int(idx_s)
-                        (edge,) = parse_edges(edge_s) or (None,)
-                        seg = parse_edges(seg_s)
+                        (edge,) = resolve(edge_s) or (None,)
+                        seg = resolve(seg_s)
                     except ValueError as exc:
                         raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
                     if not known.issuperset(seg or ()) or (edge and edge not in known):

@@ -171,25 +171,33 @@ class SpectralPredictor:
 
     # -- training ----------------------------------------------------------
 
-    def _residual(self, windows: np.ndarray,
-                  targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Spectral coordinates of the windows and the prediction residuals."""
-        # windows: (S, k, L), most recent first along axis 1
-        z = np.einsum("skl,lm->skm", windows, self.basis)
+    def spectral(self, windows: np.ndarray) -> np.ndarray:
+        """Spectral coordinates of stacked windows (S, k, L), most recent first."""
+        return np.einsum("skl,lm->skm", windows, self.basis)
+
+    def _residual(self, z: np.ndarray, targets: np.ndarray) -> np.ndarray:
+        """Prediction residuals from the windows' spectral coordinates."""
         mixed = np.einsum("skm,km->sm", z, self.decay[:, None] * self.filters)
-        return z, mixed @ self.basis.T - targets
+        return mixed @ self.basis.T - targets
+
+    def _loss(self, z: np.ndarray, targets: np.ndarray) -> float:
+        resid = self._residual(z, targets)
+        return float((resid * resid).sum() / resid.size)
+
+    def _loss_and_gradient(self, z: np.ndarray,
+                           targets: np.ndarray) -> tuple[float, np.ndarray]:
+        resid = self._residual(z, targets)
+        grad = (2.0 / resid.size) * self.decay[:, None] * \
+            np.einsum("sm,skm->km", resid @ self.basis, z)
+        return float((resid * resid).sum() / resid.size), grad
 
     def loss(self, windows: np.ndarray, targets: np.ndarray) -> float:
-        resid = self._residual(windows, targets)[1]
-        return float((resid * resid).sum() / resid.size)
+        return self._loss(self.spectral(windows), targets)
 
     def loss_and_gradient(self, windows: np.ndarray,
                           targets: np.ndarray) -> tuple[float, np.ndarray]:
         """Mean squared error and its gradient w.r.t. every filter entry."""
-        z, resid = self._residual(windows, targets)
-        grad = (2.0 / resid.size) * self.decay[:, None] * \
-            np.einsum("sm,skm->km", resid @ self.basis, z)
-        return float((resid * resid).sum() / resid.size), grad
+        return self._loss_and_gradient(self.spectral(windows), targets)
 
     # -- persistence ---------------------------------------------------------
 
@@ -281,9 +289,11 @@ def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
         raise ValueError(f"need at least one epoch, got {max_epochs}")
     windows, targets = build_windows(states, model.max_steps)
     n_train, n_val, n_test = _split_sizes(windows.shape[0])
-    w_train, y_train = windows[:n_train], targets[:n_train]
-    w_val, y_val = windows[n_train:n_train + n_val], targets[n_train:n_train + n_val]
-    w_test, y_test = windows[n_train + n_val:], targets[n_train + n_val:]
+    cuts = (slice(0, n_train), slice(n_train, n_train + n_val), slice(n_train + n_val, None))
+    # the windows and the basis stay fixed, so each slice's product is taken once
+    z_train, z_val, z_test = (model.spectral(windows[cut]) for cut in cuts)
+    y_train, y_val, y_test = (targets[cut] for cut in cuts)
+    del windows
 
     result = TrainResult()
     best_filters = model.filters.copy()
@@ -292,8 +302,8 @@ def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
     step_scale = 1.0
 
     for epoch in range(max_epochs):
-        train_loss, step_scale = _full_batch_epoch(model, w_train, y_train, step_scale)
-        val_loss = model.loss(w_val, y_val)
+        train_loss, step_scale = _full_batch_epoch(model, z_train, y_train, step_scale)
+        val_loss = model._loss(z_val, y_val)
         result.train_history.append(train_loss)
         result.epochs = epoch + 1
         if val_loss < result.best_val:
@@ -310,13 +320,13 @@ def train_spectral(model: SpectralPredictor, states: Sequence[np.ndarray], *,
 
     model.filters = best_filters
     if n_test > 0:
-        result.test_mse = model.loss(w_test, y_test)
+        result.test_mse = model._loss(z_test, y_test)
     return result
 
 
-def _full_batch_epoch(model: SpectralPredictor, windows: np.ndarray,
+def _full_batch_epoch(model: SpectralPredictor, z: np.ndarray,
                       targets: np.ndarray, probe_step: float) -> tuple[float, float]:
-    """One steepest-descent step with an exact line search.
+    """One steepest-descent step with an exact line search on spectral coordinates ``z``.
 
     Returns the post-step training loss and the accepted step size (reused
     as the next probe). The loss is exactly quadratic along the ray, so one
@@ -324,13 +334,13 @@ def _full_batch_epoch(model: SpectralPredictor, windows: np.ndarray,
     numerically flat directions.
     """
     base = model.filters
-    loss0, grad = model.loss_and_gradient(windows, targets)
+    loss0, grad = model._loss_and_gradient(z, targets)
     gnorm2 = float((grad * grad).sum())
     if gnorm2 == 0.0:
         return loss0, probe_step
     t0 = probe_step if probe_step > 0 else 1.0
     model.filters = base - t0 * grad
-    loss_probe = model.loss(windows, targets)
+    loss_probe = model._loss(z, targets)
     curv = (loss_probe - loss0 + gnorm2 * t0) / (t0 * t0)
     if curv > 0:
         step = min(gnorm2 / (2.0 * curv), 1e8)
@@ -338,7 +348,7 @@ def _full_batch_epoch(model: SpectralPredictor, windows: np.ndarray,
         step = t0 * 4.0
     for _ in range(64):
         model.filters = base - step * grad
-        loss_new = model.loss(windows, targets)
+        loss_new = model._loss(z, targets)
         if loss_new <= loss0 + _LOSS_TOL:
             return loss_new, step
         step /= 2.0

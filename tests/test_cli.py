@@ -439,7 +439,9 @@ def test_unwritable_output_is_2_and_named(fleet, tmp_path, capsys, command, flag
 @pytest.mark.parametrize("bad_name", ["missing/side.json", "a_directory"])
 @pytest.mark.parametrize("command, spy", [("match", "mapfuse.cli.MatchSession.run"),
                                           ("train-predictor", "mapfuse.cli.train_spectral"),
-                                          ("calibrate", "mapfuse.calibration.fit_weights")])
+                                          ("calibrate", "mapfuse.calibration.fit_weights"),
+                                          ("synth", "mapfuse.cli.generate_synthetic"),
+                                          ("downsample", "mapfuse.calibration.downsample")])
 def test_outputs_are_checked_before_the_work(fleet, tmp_path, capsys, monkeypatch,
                                              command, spy, bad_name):
     (tmp_path / "a_directory").mkdir()
@@ -453,7 +455,11 @@ def test_outputs_are_checked_before_the_work(fleet, tmp_path, capsys, monkeypatc
             "calibrate": ["calibrate", "--nodes", str(fleet / "nodes.csv"),
                           "--links", str(fleet / "links.csv"),
                           "--probes", str(fleet / "probes.csv"), "--out", str(out),
-                          "--samples-out", bad]}[command]
+                          "--samples-out", bad],
+            "synth": ["synth", "--out", str(out), "--truth-out", bad,
+                      "--grid-cols", "3", "--grid-rows", "3", "--vehicles", "1"],
+            "downsample": ["downsample", "--probes", str(fleet / "probes.csv"), "--out", bad,
+                           "--interval", "120"]}[command]
     calls = []
     monkeypatch.setattr(spy, lambda *args, **kwargs: calls.append(args))
     assert main(argv) == 2

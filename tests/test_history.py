@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -6,7 +7,9 @@ from hypothesis import strategies as st
 
 from mapfuse.history import (DAY_SECONDS, HistoryStore, MatchRecord, Probe, Trajectory,
                              _StoredTrip, format_edges, load_probes_csv, parse_edges,
-                             split_trips, time_of_day_delta, write_probes_csv)
+                             split_trips, time_of_day_delta, validate_record,
+                             write_probes_csv)
+from mapfuse.network import InputFormatError
 
 
 def _lonlat(net, x, y):
@@ -372,6 +375,70 @@ def test_log_round_trip(tmp_path, chain_network):
     assert again.load_log(str(log_path), {"a-0": traj}) == 1
     assert again.vehicle_counts("a", before_t=rec.t_end) == \
         store.vehicle_counts("a", before_t=rec.t_end)
+
+
+def _load(network, tmp_path, text, trajectories):
+    log_path = tmp_path / "history.log"
+    log_path.write_text(text)
+    store = HistoryStore(network)
+    store.load_log(str(log_path), trajectories)
+    return store
+
+
+class TestLoadLog:
+    CANONICAL = "a-0|0|0:3|\na-0|1|1:1|0:3;0:4;1:1\n"
+
+    @pytest.fixture
+    def trips(self, chain_network):
+        return {"a-0": _trajectory(chain_network, "a-0", "a")}
+
+    def test_stored_keys_are_the_network_tuples(self, chain_network, tmp_path, trips):
+        # the network's own spelling and another one both resolve to Link.edge_keys
+        for text in (self.CANONICAL, "a-0|0|00:3|\na-0|1|+1:01|0:3;0:4; 1:1\n"):
+            store = _load(chain_network, tmp_path, text, trips)
+            (rec,) = store.records()
+            keys = [*rec.matched_edges, *rec.paths[1], *store._trips["a-0"].counts]
+            assert len(keys) == 8
+            for key in keys:
+                assert key is chain_network.link(key[0]).edge_keys[key[1] - 1]
+
+    @pytest.mark.parametrize("edge, seg", [("0:03", "0:3;0:4;1:1"), ("+0:3", "0:3;0:4;01:1"),
+                                           ("0:3", "0:3;0:+4;1:1"), ("0:3", " 0:3;0:4 ;1:1")])
+    def test_other_spellings_load_the_same_record(self, chain_network, tmp_path, trips,
+                                                  edge, seg):
+        want = _load(chain_network, tmp_path, self.CANONICAL, trips).records()
+        text = f"a-0|0|{edge}|\na-0|1|1:1|{seg}\n"
+        assert _load(chain_network, tmp_path, text, trips).records() == want
+
+    @pytest.mark.parametrize("line, message", [
+        ("a-0|1|9:1|0:4;1:1", "edge (9, 1) is not in the link table"),
+        ("a-0|1|1:1|0:4;1:9", "edge (1, 9) is not in the link table"),
+        ("a-0|1|1:01|0:4;+7:1", "edge (7, 1) is not in the link table"),
+        ("a-0|1|9:1|0:4;3:9", "edge (3, 9) is not in the link table"),  # the path first
+        ("a-0|1|1:1|0:4;", "not enough values to unpack (expected 2, got 1)"),
+        ("a-0|1|9:1|0:4;", "not enough values to unpack (expected 2, got 1)"),  # bad text first
+        ("a-0|1|1:1|0:4;1:x", "invalid literal for int() with base 10: 'x'"),
+        ("a-0|1|0:4;1:1|0:4;1:1", "too many values to unpack (expected 1)"),
+        ("a-0|1|1:1:1|", "too many values to unpack (expected 2)"),
+    ])
+    def test_rejections_keep_their_messages(self, chain_network, tmp_path, trips, line,
+                                            message):
+        log_path = tmp_path / "history.log"
+        log_path.write_text(f"a-0|0|0:4|\n{line}\n")
+        with pytest.raises(InputFormatError) as info:
+            HistoryStore(chain_network).load_log(str(log_path), trips)
+        unknown = message.startswith("edge")
+        assert str(info.value) == f"{log_path}:2: {'trajectory a-0: ' if unknown else ''}{message}"
+
+
+def test_disconnected_path_messages(chain_network):
+    # within a link by the edge index; across links by the link ends
+    for a, b in [((0, 1), (0, 3)), ((0, 2), (0, 1)), ((0, 3), (1, 1)), ((0, 4), (1, 2)),
+                 ((0, 4), (2, 1)), ((1, 4), (0, 1))]:
+        message = f"segment 1 path is disconnected at {a}->{b}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            validate_record(chain_network, _record(chain_network, "a-0", "a", (a, b)))
+    validate_record(chain_network, _record(chain_network, "a-0", "a", ((0, 3), (0, 4), (1, 1))))
 
 
 def test_edge_codec_round_trip():

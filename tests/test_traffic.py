@@ -3,11 +3,12 @@ import json
 import numpy as np
 import pytest
 
+from mapfuse import traffic
 from mapfuse.network import InputFormatError
-from mapfuse.traffic import (SpectralPredictor, StateVector, TrafficConfig,
-                             aggregate_interval, build_windows, decay_weights,
-                             predict_naive, read_states_csv, simplex_project,
-                             train_spectral, write_states_csv)
+from mapfuse.traffic import (_LOSS_TOL, _PATIENCE, _PLATEAUS, SpectralPredictor, StateVector,
+                             TrafficConfig, aggregate_interval, build_windows, decay_weights,
+                             _split_sizes, predict_naive, read_states_csv,
+                             simplex_project, train_spectral, write_states_csv)
 
 from conftest import build_network
 
@@ -222,6 +223,85 @@ class TestSpectralTraining:
         model = SpectralPredictor.for_network(net, 3, 0.8)
         with pytest.raises(ValueError):
             train_spectral(model, random_states(np.random.default_rng(0), 4, 4))
+
+
+def _reference_training(model, states, max_epochs):
+    """train_spectral as a loop over the public loss and loss_and_gradient on windows."""
+    windows, targets = build_windows(states, model.max_steps)
+    n_train, n_val, n_test = _split_sizes(windows.shape[0])
+    w_train, y_train = windows[:n_train], targets[:n_train]
+    w_val, y_val = windows[n_train:n_train + n_val], targets[n_train:n_train + n_val]
+    w_test, y_test = windows[n_train + n_val:], targets[n_train + n_val:]
+    history, best_val, best_filters = [], np.inf, model.filters.copy()
+    stale, plateaus, probe = 0, 0, 1.0
+    for _ in range(max_epochs):
+        base = model.filters
+        loss0, grad = model.loss_and_gradient(w_train, y_train)
+        train_loss, gnorm2 = loss0, float((grad * grad).sum())
+        if gnorm2 != 0.0:
+            t0 = probe if probe > 0 else 1.0
+            model.filters = base - t0 * grad
+            curv = (model.loss(w_train, y_train) - loss0 + gnorm2 * t0) / (t0 * t0)
+            step = min(gnorm2 / (2.0 * curv), 1e8) if curv > 0 else t0 * 4.0
+            for _ in range(64):
+                model.filters = base - step * grad
+                loss_new = model.loss(w_train, y_train)
+                if loss_new <= loss0 + _LOSS_TOL:
+                    train_loss, probe = loss_new, step
+                    break
+                step /= 2.0
+            else:
+                model.filters, probe = base, max(step, 1e-12)
+        val_loss = model.loss(w_val, y_val)
+        history.append(train_loss)
+        if val_loss < best_val:
+            best_val, best_filters, stale = val_loss, model.filters.copy(), 0
+        else:
+            stale += 1
+            if stale >= _PATIENCE:
+                stale, plateaus = 0, plateaus + 1
+                if plateaus >= _PLATEAUS:
+                    break
+    model.filters = best_filters
+    return history, best_val, model.loss(w_test, y_test) if n_test else None
+
+
+class TestTrainingOnSpectralCoordinates:
+    @pytest.mark.parametrize("planted, n_links, max_steps, n_intervals, epochs", [
+        (True, 10, 3, 26, 200), (True, 8, 3, 20, 8), (False, 12, 4, 30, 200),
+        (False, 6, 3, 6, 20)])  # the last has no test slice
+    def test_bitwise_the_public_loss_loop(self, planted, n_links, max_steps, n_intervals,
+                                          epochs):
+        rng = np.random.default_rng(n_links + n_intervals)
+        if planted:
+            net, states, _ = _planted_setup(rng, n_links=n_links, k_max=max_steps,
+                                            n_intervals=n_intervals)
+        else:
+            net, states = chain_net(n_links), random_states(rng, n_intervals, n_links)
+        model = SpectralPredictor.for_network(net, max_steps, 0.8)
+        reference = SpectralPredictor.for_network(net, max_steps, 0.8)
+        result = train_spectral(model, states, max_epochs=epochs)
+        history, best_val, test_mse = _reference_training(reference, states, epochs)
+        assert result.train_history == history and result.epochs == len(history)
+        assert result.best_val == best_val and result.test_mse == test_mse
+        assert model.filters.tobytes() == reference.filters.tobytes()
+
+    @pytest.mark.parametrize("epochs", [1, 8, 40])
+    def test_one_spectral_product_per_slice(self, monkeypatch, epochs):
+        rng = np.random.default_rng(5)
+        net, states, _ = _planted_setup(rng, n_links=8, n_intervals=20)
+        model = SpectralPredictor.for_network(net, 3, 0.8)
+        subscripts = []
+        einsum = np.einsum
+
+        def spy(spec, *operands, **kwargs):
+            subscripts.append(spec)
+            return einsum(spec, *operands, **kwargs)
+
+        monkeypatch.setattr(traffic.np, "einsum", spy)
+        result = train_spectral(model, states, max_epochs=epochs)
+        assert result.epochs >= min(epochs, 8)
+        assert subscripts.count("skl,lm->skm") <= 3
 
 
 class TestCheckpoint:
