@@ -2,8 +2,9 @@
 
 The store answers two questions for the habit score: which finished trips
 share the ego trip's endpoints and schedule (the collaborative group), and
-how often a vehicle or trip has used each edge. It also hands recent matched
-locations to the traffic aggregator.
+how often a vehicle or trip has used each edge, counted from the stored paths
+when a lookup needs them. Its log loader resolves and checks each distinct field
+once. It also hands recent matched locations to the traffic aggregator.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ DAY_SECONDS = 86_400.0
 MAX_PROBE_SPEED = 70.0  # m/s sanity bound
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Probe:
     """One GNSS sample."""
 
@@ -107,7 +108,10 @@ def _edges_connected(network: RoadNetwork, a: EdgeKey, b: EdgeKey) -> bool:
     return a[1] == len(la.edges) and b[1] == 1 and la.to_node == lb.from_node
 
 
-def validate_record(network: RoadNetwork, record: MatchRecord) -> None:
+def validate_record(network: RoadNetwork, record: MatchRecord,
+                    connected: set[tuple[EdgeKey, ...]] | None = None) -> None:
+    """Raise ValueError unless ``record`` is a valid match. Paths in ``connected``
+    were proved connected before and are not walked again; paths proved here join it."""
     n = len(record.probe_times)
     if not (len(record.matched_edges) == len(record.paths) == n):
         raise ValueError("record arrays misaligned")
@@ -118,9 +122,12 @@ def validate_record(network: RoadNetwork, record: MatchRecord) -> None:
             raise ValueError("segment path attached to probe 0")
         if not path:
             raise ValueError(f"segment {i} has an empty path")
-        for a, b in zip(path, path[1:]):  # within a link, the next edge is the next index
-            if (b[1] != a[1] + 1) if a[0] == b[0] else not _edges_connected(network, a, b):
-                raise ValueError(f"segment {i} path is disconnected at {a}->{b}")
+        if connected is None or path not in connected:
+            for a, b in zip(path, path[1:]):  # within a link, the next edge is the next index
+                if (b[1] != a[1] + 1) if a[0] == b[0] else not _edges_connected(network, a, b):
+                    raise ValueError(f"segment {i} path is disconnected at {a}->{b}")
+            if connected is not None:
+                connected.add(path)
         if record.matched_edges[i] != path[-1]:
             raise ValueError(f"probe {i} matched edge differs from its segment end-edge")
 
@@ -150,10 +157,23 @@ class CollaborationContext:
         return total / (self.member_mass * len(path_edges))
 
 
+def _passed_edges(record: MatchRecord) -> list[EdgeKey]:
+    """The edges a record's vehicle passed, one entry per traversal: consecutive
+    segments share their boundary edge, passed once, unless a gap parts them."""
+    edges: list[EdgeKey] = []
+    prev_last: EdgeKey | None = None
+    for path in record.paths:
+        if not path:
+            prev_last = None
+            continue
+        edges.extend(path[1:] if prev_last is not None and path[0] == prev_last else path)
+        prev_last = path[-1]
+    return edges
+
+
 @dataclass
 class _StoredTrip:
     record: MatchRecord
-    counts: Counter
     x0: float
     y0: float
     x1: float
@@ -189,25 +209,15 @@ class HistoryStore:
     def __len__(self) -> int:
         return len(self._trips)
 
-    def record_match(self, record: MatchRecord) -> None:
+    def record_match(self, record: MatchRecord,
+                     connected: set[tuple[EdgeKey, ...]] | None = None) -> None:
         if record.trajectory_id in self._trips:
             raise ValueError(f"duplicate record id {record.trajectory_id}")
-        validate_record(self.network, record)
-        # consecutive segments share their boundary edge; the vehicle passed
-        # it once, so fold the paths into one traversal sequence
-        counts: Counter = Counter()
-        prev_last: EdgeKey | None = None
-        for path in record.paths:
-            if not path:
-                prev_last = None
-                continue
-            edges = path[1:] if prev_last is not None and path[0] == prev_last else path
-            counts.update(edges)
-            prev_last = path[-1]
+        validate_record(self.network, record, connected)
         proj = self.network.projector
         x0, y0 = proj.to_plane(*record.start_lonlat)
         x1, y1 = proj.to_plane(*record.end_lonlat)
-        trip = _StoredTrip(record, counts, x0, y0, x1, y1)
+        trip = _StoredTrip(record, x0, y0, x1, y1)
         self._trips[record.trajectory_id] = trip
         self._by_vehicle.setdefault(record.vehicle, []).append(record.trajectory_id)
         insort(self._by_time_of_day, (record.t0 % DAY_SECONDS, trip), key=_KEY)
@@ -219,9 +229,9 @@ class HistoryStore:
         """Aggregate edge usage over a vehicle's trips finished before ``before_t``."""
         total: Counter = Counter()
         for tid in self._by_vehicle.get(vehicle, ()):
-            trip = self._trips[tid]
-            if trip.record.t_end <= before_t:
-                total.update(trip.counts)
+            record = self._trips[tid].record
+            if record.t_end <= before_t:
+                total.update(_passed_edges(record))
         return total
 
     # -- collaborative group ------------------------------------------------
@@ -284,7 +294,7 @@ class HistoryStore:
             if trip.record.vehicle == trajectory.vehicle:
                 continue
             n_neighbors += 1
-            for edge, count in trip.counts.items():
+            for edge, count in Counter(_passed_edges(trip.record)).items():
                 weighted[edge] = weighted.get(edge, 0.0) + neighbor_weight * count
         mass = 1.0 + neighbor_weight * n_neighbors
         return CollaborationContext(frozenset(group), weighted, mass)
@@ -311,14 +321,18 @@ class HistoryStore:
         """
         keys = {f"{key[0]}:{key[1]}": key
                 for link in self.network.links.values() for key in link.edge_keys}
-        known = set(keys.values())
+        fields: dict[str, tuple] = {"": (None, None)}  # one entry per distinct field text
 
-        def resolve(text: str) -> tuple[EdgeKey, ...] | None:
-            """A field's edges as the network's own key tuples, however they are spelled."""
-            try:
-                return tuple([keys[item] for item in text.split(";")]) if text else None
-            except KeyError:  # another spelling, an unknown edge or bad text
-                return tuple(keys.get(f"{a}:{b}", (a, b)) for a, b in parse_edges(text))
+        def resolve(text: str) -> tuple[tuple[EdgeKey, ...] | None, EdgeKey | None]:
+            """A field's edges as the network's own key tuples, and the first it lacks or None."""
+            if text not in fields:
+                try:
+                    fields[text] = (tuple([keys[item] for item in text.split(";")]), None)
+                except KeyError:  # another spelling, an unknown edge or bad text
+                    pairs = parse_edges(text)
+                    fields[text] = (tuple(keys.get(f"{a}:{b}", (a, b)) for a, b in pairs),
+                                    next((k for k in pairs if f"{k[0]}:{k[1]}" not in keys), None))
+            return fields[text]
 
         per_trip: dict[str, dict[int, tuple[EdgeKey | None, tuple[EdgeKey, ...] | None]]] = {}
         try:
@@ -330,12 +344,12 @@ class HistoryStore:
                     try:
                         tid, idx_s, edge_s, seg_s = line.split("|")
                         idx = int(idx_s)
-                        (edge,) = resolve(edge_s) or (None,)
-                        seg = resolve(seg_s)
+                        edges, bad_edge = resolve(edge_s)
+                        (edge,) = edges or (None,)
+                        seg, bad_seg = resolve(seg_s)
                     except ValueError as exc:
                         raise InputFormatError(f"{path}:{lineno}: {exc}") from exc
-                    if not known.issuperset(seg or ()) or (edge and edge not in known):
-                        bad = next(k for k in (*(seg or ()), edge) if k not in known)
+                    if bad := bad_seg or bad_edge:  # the path's key is reported first
                         raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
                                                f"edge {bad} is not in {self.network.links_name}")
                     if idx in per_trip.setdefault(tid, {}):
@@ -345,6 +359,7 @@ class HistoryStore:
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
         loaded = 0
+        connected: set[tuple[EdgeKey, ...]] = set()  # the segment paths proved so far
         for tid in sorted(per_trip):
             if tid not in trajectories:
                 raise InputFormatError(f"{path}: trajectory {tid} is not in the history probes")
@@ -364,7 +379,7 @@ class HistoryStore:
                     matched_edges=matched, paths=paths,
                     start_lonlat=(traj.start.lon, traj.start.lat),
                     end_lonlat=(traj.end.lon, traj.end.lat),
-                    t0=traj.t0, t_end=traj.t_end))
+                    t0=traj.t0, t_end=traj.t_end), connected)
             except ValueError as exc:
                 raise InputFormatError(f"{path}: trajectory {tid}: {exc}") from exc
             loaded += 1

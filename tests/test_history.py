@@ -1,10 +1,12 @@
 import math
 import re
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mapfuse import history
 from mapfuse.history import (DAY_SECONDS, HistoryStore, MatchRecord, Probe, Trajectory,
                              _StoredTrip, format_edges, load_probes_csv, parse_edges,
                              split_trips, time_of_day_delta, validate_record,
@@ -348,6 +350,70 @@ class TestUsageFrequency:
         assert ctx.path_frequency(path) == pytest.approx(0.75)
 
 
+# the edges of a four-link square loop, 4 edges a link, in driving order
+_LOOP = tuple((j // 4, j % 4 + 1) for j in range(16))
+
+
+@st.composite
+def _loop_paths(draw):
+    """``MatchRecord.paths`` of a drive round the loop: gaps, segments that share
+    their boundary edge or not, jumps, and segments longer than one lap."""
+    paths, last = [None], draw(st.integers(0, 15))
+    for how in draw(st.lists(st.sampled_from(("share", "next", "jump", "gap")),
+                             min_size=1, max_size=8)):
+        if how == "gap":
+            paths.append(None)
+            continue
+        start = draw(st.integers(0, 15)) if how == "jump" else last + (how == "next")
+        length = draw(st.integers(1, 20))
+        paths.append(tuple(_LOOP[(start + k) % 16] for k in range(length)))
+        last = start + length - 1
+    return tuple(paths)
+
+
+def _reference_counts(records):
+    """Each record's paths folded into a per-trip Counter, then summed in record order."""
+    total: Counter = Counter()
+    for rec in records:
+        counts: Counter = Counter()
+        prev_last = None
+        for path in rec.paths:
+            if not path:
+                prev_last = None
+                continue
+            counts.update(path[1:] if prev_last is not None and path[0] == prev_last else path)
+            prev_last = path[-1]
+        total.update(counts)
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(trips=st.lists(st.tuples(st.sampled_from("ab"), st.sampled_from((0.0, 100.0, 900.0)),
+                                _loop_paths()), min_size=1, max_size=6),
+       before_t=st.sampled_from((500.0, 2000.0)))
+def test_vehicle_counts_fold_the_stored_paths(trips, before_t):
+    from conftest import build_network
+    net = build_network([(0, 0.0, 0.0), (1, 200.0, 0.0), (2, 200.0, 200.0), (3, 0.0, 200.0)],
+                        [(0, 0, 1, 200.0, None), (1, 1, 2, 200.0, None),
+                         (2, 2, 3, 200.0, None), (3, 3, 0, 200.0, None)])
+    assert all(len(net.link(i).edges) == 4 for i in range(4))
+    store = HistoryStore(net)
+    records = []
+    for k, (vehicle, t0, paths) in enumerate(trips):
+        times = tuple(t0 + 30.0 * i for i in range(len(paths)))
+        records.append(MatchRecord(
+            trajectory_id=f"{vehicle}-{k}", vehicle=vehicle, probe_times=times,
+            matched_edges=tuple(path and path[-1] for path in paths), paths=paths,
+            start_lonlat=_lonlat(net, 10.0, 0.0), end_lonlat=_lonlat(net, 0.0, 100.0),
+            t0=times[0], t_end=times[-1]))
+        store.record_match(records[-1])
+    for vehicle in "ab":
+        want = _reference_counts(r for r in records
+                                 if r.vehicle == vehicle and r.t_end <= before_t)
+        # the same counts, inserted in the same order
+        assert list(store.vehicle_counts(vehicle, before_t).items()) == list(want.items())
+
+
 def test_time_of_day_delta():
     assert time_of_day_delta(10.0, DAY_SECONDS + 12.0) == pytest.approx(2.0)
     assert time_of_day_delta(10.0, DAY_SECONDS - 10.0) == pytest.approx(20.0)
@@ -397,7 +463,7 @@ class TestLoadLog:
         for text in (self.CANONICAL, "a-0|0|00:3|\na-0|1|+1:01|0:3;0:4; 1:1\n"):
             store = _load(chain_network, tmp_path, text, trips)
             (rec,) = store.records()
-            keys = [*rec.matched_edges, *rec.paths[1], *store._trips["a-0"].counts]
+            keys = [*rec.matched_edges, *rec.paths[1], *store.vehicle_counts("a", rec.t_end)]
             assert len(keys) == 8
             for key in keys:
                 assert key is chain_network.link(key[0]).edge_keys[key[1] - 1]
@@ -429,6 +495,60 @@ class TestLoadLog:
             HistoryStore(chain_network).load_log(str(log_path), trips)
         unknown = message.startswith("edge")
         assert str(info.value) == f"{log_path}:2: {'trajectory a-0: ' if unknown else ''}{message}"
+
+    def test_lines_with_one_text_share_one_tuple(self, chain_network, tmp_path):
+        trips = {tid: _trajectory(chain_network, tid, tid[0]) for tid in ("a-0", "b-0")}
+        text = "".join(f"{tid}|1|1:1|0:3;0:4;1:1\n" for tid in trips)
+        a, b = _load(chain_network, tmp_path, text, trips).records()
+        assert a.paths[1] == ((0, 3), (0, 4), (1, 1))
+        assert a.paths[1] is b.paths[1] and a.matched_edges[1] is b.matched_edges[1]
+
+    def test_each_distinct_path_is_walked_once(self, chain_network, tmp_path, monkeypatch):
+        calls = []
+
+        def spy(network, a, b):
+            calls.append((a, b))
+            return connected(network, a, b)
+
+        connected = history._edges_connected
+        monkeypatch.setattr(history, "_edges_connected", spy)
+        made = []
+        for copies in (1, 200):
+            trips = {f"a-{k}": _trajectory(chain_network, f"a-{k}", "a") for k in range(copies)}
+            text = "".join(f"{tid}|1|1:1|0:3;0:4;1:1\n" for tid in trips)
+            assert len(_load(chain_network, tmp_path, text, trips)) == copies
+            made.append(len(calls))
+            calls.clear()
+        assert made == [1, 1]  # the path crosses one link boundary
+
+    @pytest.mark.parametrize("line, message", [
+        ("b-0|1|1:1|0:4;1:9", "trajectory b-0: edge (1, 9) is not in the link table"),
+        ("b-0|1|9:1|0:4;1:1", "trajectory b-0: edge (9, 1) is not in the link table"),
+        ("b-0|1|9:1|0:4;3:9", "trajectory b-0: edge (3, 9) is not in the link table"),
+        ("b-0|1|0:4;1:1|0:4;1:1", "too many values to unpack (expected 1)"),
+        ("a-0|1|1:1|0:4;1:1", "trajectory a-0: duplicate line for probe 1"),
+    ])
+    def test_a_field_seen_before_keeps_the_rejection(self, chain_network, tmp_path, line,
+                                                     message):
+        # the good line before it holds the bad line's good field texts
+        log_path = tmp_path / "history.log"
+        log_path.write_text(f"a-0|0|0:4|\na-0|1|1:1|0:4;1:1\n{line}\n")
+        trips = {tid: _trajectory(chain_network, tid, tid[0]) for tid in ("a-0", "b-0")}
+        with pytest.raises(InputFormatError) as info:
+            HistoryStore(chain_network).load_log(str(log_path), trips)
+        assert str(info.value) == f"{log_path}:3: {message}"
+
+
+def test_only_connected_paths_join_the_proved_set(chain_network):
+    proved = set()
+    bad = _record(chain_network, "a-0", "a", ((0, 3), (1, 2)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="disconnected at"):
+            validate_record(chain_network, bad, proved)
+    assert proved == set()
+    good = _record(chain_network, "a-0", "a", ((0, 3), (0, 4), (1, 1)))
+    validate_record(chain_network, good, proved)
+    assert proved == {good.paths[1]}
 
 
 def test_disconnected_path_messages(chain_network):
