@@ -42,35 +42,37 @@ def ground_truth_paths(trajectory: Trajectory, network: RoadNetwork, *,
     """Shortest path between the nearest candidate edges of each probe pair.
 
     Intended for high-frequency anchor data where the shortest path is a
-    safe stand-in for the real route. Unreachable pairs are skipped with a
-    log line; the returned index is the segment's end-probe position.
+    safe stand-in for the real route. Between two links the path follows
+    one ``RoadNetwork.route`` by length, so its cost follows the segment,
+    not the network; of equal-length routes the one that search settles
+    first wins. Unreachable pairs are skipped with a log line; the returned
+    index is the segment's end-probe position.
     """
     def candidates(probe):
         x, y = network.projector.to_plane(probe.lon, probe.lat)
         return find_candidate_edges(x, y, probe.bearing, network, radius)
 
-    whole = SubGraph.whole(network)
     out: list[tuple[int, CandidatePath | None]] = []
-    prev_cands = None
+    prev_cands = candidates(trajectory.start) if trajectory.probes else []
     for i in range(1, len(trajectory.probes)):
-        if prev_cands is None:
-            prev_cands = candidates(trajectory.probes[i - 1])
         cur_cands = candidates(trajectory.probes[i])
+        path = None
         if not prev_cands or not cur_cands:
             log.info("trajectory %s: no candidate edge around probe %d", trajectory.id, i)
-            out.append((i, None))
-            prev_cands = cur_cands or None
-            continue
-        found = k_shortest_paths(whole, [prev_cands[0]], [cur_cands[0]], 1)
-        if not found:
-            log.info("trajectory %s: probes %d-%d unreachable", trajectory.id, i - 1, i)
-            out.append((i, None))
-            prev_cands = cur_cands
-            continue
-        path = found[0]
+        else:
+            start, end = prev_cands[0], cur_cands[0]
+            a, b = network.link(start.edge.link_id), network.link(end.edge.link_id)
+            route = network.route(a.to_node, b.from_node, lambda link: link.length) or []
+            # on these links the only loopless paths are that route and a
+            # forward traversal of one link
+            found = k_shortest_paths(SubGraph(network, frozenset((a.id, b.id, *route))),
+                                     [start], [end], 1)
+            path = found[0] if found else None
+            if path is None:
+                log.info("trajectory %s: probes %d-%d unreachable", trajectory.id, i - 1, i)
         out.append((i, path))
         # anchor the next segment at this segment's end projection
-        prev_cands = [path.end]
+        prev_cands = [path.end] if path is not None else cur_cands
     return out
 
 

@@ -332,24 +332,17 @@ def _cmd_calibrate(args) -> int:
                 thin = cal.downsample(traj, interval)
             if len(thin.probes) < 2:
                 continue
-            source_times = [p.t for p in traj.probes]
-            idx_of = {round(t, 6): i for i, t in enumerate(source_times)}
+            idx_of = {round(p.t, 6): i for i, p in enumerate(traj.probes)}
             outcomes = list(session.segment_outcomes(thin))
             for seg_end, outcome in outcomes:
                 a = idx_of[round(thin.probes[seg_end - 1].t, 6)]
                 b = idx_of[round(thin.probes[seg_end].t, 6)]
-                truth_edges: set = set()
-                complete = True
-                for i in range(a + 1, b + 1):
-                    p = truth_by_idx.get(i)
-                    if p is None:
-                        complete = False
-                        break
-                    truth_edges.update(p.edges)
-                if not complete or not truth_edges:
+                truth = [truth_by_idx.get(i) for i in range(a + 1, b + 1)]
+                if None in truth:
                     continue
+                truth_edges = tuple(e for p in truth for e in p.edges)
                 for cand, sv in zip(outcome.candidates, outcome.candidate_scores):
-                    y = cal.path_accuracy(cand.edges, tuple(truth_edges))
+                    y = cal.path_accuracy(cand.edges, truth_edges)
                     samples.append(cal.CalibrationSample(
                         sv.kinematic / 100.0, sv.habit / 100.0, sv.traffic / 100.0, y))
             session.feed_back(match_record(thin, outcomes))

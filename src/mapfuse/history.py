@@ -370,8 +370,7 @@ class HistoryStore:
                 bad = next(i for i in rows if not 0 <= i < n)
                 raise InputFormatError(f"{path}: trajectory {tid}: probe index {bad} is "
                                        f"outside its {n} probes")
-            matched = tuple(rows.get(i, (None, None))[0] for i in range(n))
-            paths = tuple(rows.get(i, (None, None))[1] for i in range(n))
+            matched, paths = zip(*[rows.get(i, (None, None)) for i in range(n)])
             try:
                 self.record_match(MatchRecord(
                     trajectory_id=prefix + tid, vehicle=traj.vehicle,

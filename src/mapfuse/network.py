@@ -1,16 +1,20 @@
-"""Directed road network: loading, link subdivision, spatial index, spectrum.
+"""Directed road network: loading, link subdivision, spatial index, routes, spectrum.
 
 Links are straight directed segments between intersection nodes. Every link
 is cut into fixed-length edges, which are the unit of probe projection and
-of historical usage counting. The Laplacian of the link graph (two links
-are adjacent when they share a node) and its eigendecomposition feed the
-traffic predictor.
+of historical usage counting. Routes between nodes, under a caller's cost
+per link, make the synthetic fleets and the calibration ground truth. The
+link graph's Laplacian (two links are adjacent when they share a node) and
+its eigendecomposition feed the traffic predictor.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -194,6 +198,47 @@ class RoadNetwork:
         """
         proj = project_to_segment(x, y, edge.x0, edge.y0, edge.x1, edge.y1)
         return proj, proj.fraction * edge.length
+
+    # -- routes -------------------------------------------------------------
+
+    @cached_property
+    def out_links(self) -> dict[int, list[Link]]:
+        """The links leaving each node, by link id; built on first use."""
+        out: dict[int, list[Link]] = {}
+        for lid in self.link_ids:
+            out.setdefault(self.links[lid].from_node, []).append(self.links[lid])
+        return out
+
+    def route(self, src: int, dst: int, cost: Callable[[Link], float]) -> list[int] | None:
+        """Link ids of a cheapest route from node ``src`` to node ``dst``, or None.
+
+        A forward Dijkstra under a non-negative ``cost`` per link that stops
+        once ``dst`` is settled, so its work follows the route, not the
+        network. Ties go to the route settled first: out-links are scanned
+        by link id, a cost drops only for a strictly cheaper way, and equal
+        heap keys pop in push order.
+        """
+        dist = {src: 0.0}
+        parent: dict[int, Link] = {}
+        heap = [(0.0, 0, src)]
+        pushes = count(1)
+        while heap:
+            d, _, node = heappop(heap)
+            if d > dist[node]:
+                continue  # a stale entry: the node was settled cheaper
+            if node == dst:
+                links = []
+                while node != src:
+                    links.append(parent[node].id)
+                    node = parent[node].from_node
+                return links[::-1]
+            for link in self.out_links.get(node, ()):
+                nd = d + cost(link)
+                if nd < dist.get(link.to_node, math.inf):
+                    dist[link.to_node] = nd
+                    parent[link.to_node] = link
+                    heappush(heap, (nd, next(pushes), link.to_node))
+        return None
 
     # -- spectral structures ----------------------------------------------
 

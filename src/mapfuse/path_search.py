@@ -156,7 +156,7 @@ class SubGraph:
     network: RoadNetwork
     usable_links: frozenset[int]
     kept: frozenset[EdgeKey] = frozenset()
-    region: EllipseRegion | None = None     # None: the whole network
+    region: EllipseRegion | None = None     # None: just the usable links
     candidate_points: frozenset = frozenset()
 
     @classmethod
@@ -166,7 +166,8 @@ class SubGraph:
     @cached_property
     def edge_keys(self) -> frozenset[EdgeKey]:
         if self.region is None:
-            return frozenset(k for link in self.network.links.values() for k in link.edge_keys)
+            return frozenset(k for lid in self.usable_links
+                             for k in self.network.link(lid).edge_keys)
         return frozenset(e.key for e in self.network.edges_in_bbox(*self.region.bbox())
                          if _edge_kept(self.region, self.candidate_points, e))
 

@@ -9,7 +9,6 @@ noise scaled off the same knob.
 """
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -181,50 +180,6 @@ class SyntheticFleet:
         return [self.truth_record_for(t) for t in source]
 
 
-def _link_adjacency(network: RoadNetwork) -> dict[int, list[tuple[int, int]]]:
-    adj: dict[int, list[tuple[int, int]]] = {}
-    for lid in network.link_ids:
-        link = network.link(lid)
-        adj.setdefault(link.from_node, []).append((link.to_node, lid))
-    return adj
-
-
-def _route_dijkstra(network: RoadNetwork, adj: dict[int, list[tuple[int, int]]],
-                    speeds: dict[int, float], jitter: dict[int, float],
-                    src: int, dst: int) -> list[int] | None:
-    """Time-shortest link sequence between two intersection nodes."""
-    dist = {src: 0.0}
-    parent: dict[int, tuple[int, int]] = {}
-    heap = [(0.0, 0, src)]
-    done: set[int] = set()
-    counter = 1
-    while heap:
-        cost, _, node = heapq.heappop(heap)
-        if node in done:
-            continue
-        if node == dst:
-            links = []
-            cur = node
-            while cur != src:
-                prev, lid = parent[cur]
-                links.append(lid)
-                cur = prev
-            links.reverse()
-            return links
-        done.add(node)
-        for nxt, lid in adj.get(node, ()):
-            if nxt in done:
-                continue
-            link = network.link(lid)
-            nd = cost + link.length / speeds[lid] * jitter.get(lid, 1.0)
-            if nd < dist.get(nxt, math.inf):
-                dist[nxt] = nd
-                parent[nxt] = (node, lid)
-                heapq.heappush(heap, (nd, counter, nxt))
-                counter += 1
-    return None
-
-
 def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: float,
                        congestion: bool, probe_interval: float, noise_sigma: float, *,
                        seed: int = 0, trips_per_vehicle: int = 2,
@@ -269,7 +224,6 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         for pos in slow:
             speeds[network.link_ids[pos]] *= congestion_factor
 
-    adj = _link_adjacency(network)
     node_ids = sorted(network.nodes)
     # spread the hubs: start random, then greedily maximize the minimum distance
     hubs = [node_ids[int(rng.integers(0, len(node_ids)))]]
@@ -288,18 +242,18 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
                      else 4.0 * noise_sigma / 5.0)
     speed_noise = 0.3 * noise_sigma / 5.0
 
+    def timed_route(src, dst, taste):
+        """A route by travel time scaled by ``taste``, and its unscaled travel time."""
+        route = network.route(src, dst, lambda link: link.length / speeds[link.id]
+                              * taste[link.id])
+        return route, sum(network.link(l).length / speeds[l] for l in route or ())
+
     trajectories: list[Trajectory] = []
     truths: dict[str, TruthTrip] = {}
 
     for vi in range(n_vehicles):
         vehicle = f"v{vi:03d}"
         jitter = {lid: float(np.exp(rng.normal(0.0, 0.08))) for lid in network.link_ids}
-
-        def _sample(src, dst):
-            route = _route_dijkstra(network, adj, speeds, jitter, src, dst)
-            if not route or len(route) < 2:
-                return None, -1.0
-            return route, sum(network.link(l).length / speeds[l] for l in route)
 
         # out-and-back commuting between two hubs; both directions must be
         # long enough for at least two probes
@@ -311,9 +265,9 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
                 a, b = od_pairs[int(rng.integers(0, len(od_pairs)))]
             else:
                 a, b = (hubs[i] for i in rng.choice(len(hubs), size=2, replace=False))
-            out_route, out_dur = _sample(a, b)
-            back_route, back_dur = _sample(b, a)
-            if out_route is None or back_route is None:
+            out_route, out_dur = timed_route(a, b, jitter)
+            back_route, back_dur = timed_route(b, a, jitter)
+            if len(out_route or ()) < 2 or len(back_route or ()) < 2:
                 continue
             worst = min(out_dur, back_dur)
             if best is None or worst > best[0]:
@@ -329,17 +283,14 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
         for trip in range(trips_per_vehicle):
             direction = trip % 2
             src, dst = (od[0], od[1]) if direction == 0 else (od[1], od[0])
-            if trip < 2 or rng.random() < habit_strength:
-                links = preferred[direction]
-            else:
-                links = preferred[direction]
+            links = preferred[direction]
+            if trip >= 2 and rng.random() >= habit_strength:
                 for _ in range(10):
                     # mild jitter: alternates hug the vehicle's usual corridor
                     fresh = {lid: float(np.exp(rng.normal(0.0, 0.12)))
                              for lid in network.link_ids}
-                    alt = _route_dijkstra(network, adj, speeds, fresh, src, dst)
-                    if alt and sum(network.link(l).length / speeds[l]
-                                   for l in alt) >= min_duration:
+                    alt, duration = timed_route(src, dst, fresh)
+                    if alt and duration >= min_duration:
                         links = alt
                         break
 

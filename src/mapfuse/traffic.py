@@ -384,4 +384,13 @@ def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
 
     for _ in _read_csv(path, ("interval_j", "link_id", "X"), store):
         pass
-    return [StateVector(j, np.nan_to_num(rows[j], nan=0.0)) for j in sorted(rows)]
+    # windows are cut from consecutive intervals, each a share on every link
+    states: list[StateVector] = []
+    for j in sorted(rows):
+        if states and j != states[-1].interval + 1:
+            raise InputFormatError(f"{path}: interval {states[-1].interval + 1} is missing")
+        if np.isnan(rows[j]).any():
+            lid = network.link_ids[int(np.isnan(rows[j]).argmax())]
+            raise InputFormatError(f"{path}: interval {j} lacks link {lid}")
+        states.append(StateVector(j, rows[j]))
+    return states

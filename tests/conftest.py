@@ -53,3 +53,17 @@ def chain_network():
     nodes = [(0, 0.0, 0.0), (1, 200.0, 0.0), (2, 400.0, 0.0), (3, 600.0, 0.0)]
     links = [(0, 0, 1, 200.0, None), (1, 1, 2, 200.0, None), (2, 2, 3, 200.0, None)]
     return build_network(nodes, links)
+
+
+def random_digraph(rng):
+    """Node rows and link rows of a small random digraph. Link lengths are
+    100, 200 or 300 m whatever the geometry, so equal-length routes are common."""
+    n = int(rng.integers(4, 9))
+    nodes = [(i, float(rng.uniform(0, 1000)), float(rng.uniform(0, 1000))) for i in range(n)]
+    links = [(0, 0, 1, 100.0, None)]
+    for a in range(n):
+        for b in rng.permutation(n)[:int(rng.integers(0, 4))]:
+            if int(b) != a and (a, int(b)) != (0, 1):
+                links.append((len(links), a, int(b), float(rng.choice([100.0, 200.0, 300.0])),
+                              None))
+    return nodes, links

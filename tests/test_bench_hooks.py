@@ -1,15 +1,23 @@
 """The traced benchmark (``matchbench/run.py --trace 1``) wraps library
-functions and methods by name. Renaming one of them in ``src/`` breaks that
-run, so patching every hook and restoring it is checked here too. Nothing in
+functions and methods by name, and its input generator
+(``matchbench/generate.py``) calls ``synth``, ``calibration``, ``traffic`` and
+the other modules by name. Renaming one of them in ``src/`` breaks the
+benchmark, so patching every hook and restoring it, and generating the inputs
+of a small copy of each workload, are checked here too. Nothing in
 ``matchbench/`` is changed."""
+import dataclasses
 import os
 import sys
+
+import pytest
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                 "matchbench"))
 
+import generate  # noqa: E402
 import measure  # noqa: E402
 import spans  # noqa: E402
+import workloads  # noqa: E402
 
 
 def _current(owner, attr):
@@ -26,3 +34,10 @@ def test_every_trace_hook_patches_and_restores():
     finally:
         tracer.restore()
     assert all(_current(owner, attr) is original for owner, attr, original in patched)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_the_input_generator_runs_on_a_small_copy_of_each_workload(tmp_path, name):
+    small = dataclasses.replace(workloads.WORKLOADS[name], grid=6, vehicles=1, od_steps=(3, 6))
+    meta = generate.generate(small, 0, str(tmp_path))
+    assert meta["links"] == 120 and sum(meta["trajectories_per_slice"]) > 0

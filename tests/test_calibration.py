@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from mapfuse.calibration import (CalibrationSample, )
 from mapfuse.calibration import (downsample, fit_weights, ground_truth_paths, path_accuracy,
                                  read_samples_csv, read_weights_json, write_samples_csv,
                                  write_weights_json)
-from mapfuse.history import Trajectory
+from mapfuse.history import Probe, Trajectory
+from mapfuse.path_search import SubGraph, find_candidate_edges, k_shortest_paths
+from mapfuse.synth import make_grid_network
 
-from conftest import probe_at
+from conftest import build_network, probe_at, random_digraph
 
 
 def _chain_trajectory(net, positions, dt=15.0, speed=5.0):
@@ -51,6 +55,124 @@ class TestGroundTruth:
             probe_at(net, 50.0, 0.0, 0.0), probe_at(net, 700.0, 0.0, 15.0)))
         got = ground_truth_paths(traj, net)
         assert got == [(1, None)]
+
+
+def _on_link(net, link_id, fraction, t):
+    """A probe on a link, heading along it."""
+    link = net.link(link_id)
+    lon, lat = net.projector.to_lonlat(link.x0 + fraction * (link.x1 - link.x0),
+                                       link.y0 + fraction * (link.y1 - link.y0))
+    return Probe(t=t, speed=5.0, bearing=link.bearing, lon=lon, lat=lat)
+
+
+def _truth_and_reference(net, a, fa, b, fb):
+    """The ground truth from link ``a`` at fraction ``fa`` to ``b`` at ``fb``,
+    and the shortest path between the same candidates over the whole network."""
+    traj = Trajectory("hf-0", "hf", (_on_link(net, a, fa, 0.0), _on_link(net, b, fb, 15.0)))
+    ((_, got),) = ground_truth_paths(traj, net)
+    cands = [find_candidate_edges(*net.projector.to_plane(p.lon, p.lat), p.bearing, net, 170.0)
+             for p in traj.probes]
+    ref = (k_shortest_paths(SubGraph.whole(net), [cands[0][0]], [cands[1][0]], 1)
+           if all(cands) else [])
+    return got, (ref[0] if ref else None)
+
+
+def _ring_with_spur():
+    """One-way ring 0 -> 1 -> 2 -> 3 -> 0 of 200 m links and a spur 1 -> 4 (link 4)."""
+    nodes = [(0, 0.0, 0.0), (1, 200.0, 0.0), (2, 200.0, 200.0), (3, 0.0, 200.0),
+             (4, 400.0, 0.0)]
+    links = [(0, 0, 1, 200.0, None), (1, 1, 2, 200.0, None), (2, 2, 3, 200.0, None),
+             (3, 3, 0, 200.0, None), (4, 1, 4, 200.0, None)]
+    return build_network(nodes, links)
+
+
+class _CountingTable(dict):
+    """An out-link table that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _two_grids(far_side):
+    """A two-way 5 x 5 grid of 200 m links and, 50 km east, a disconnected
+    ``far_side`` x ``far_side`` one."""
+    nodes, pairs = [], []
+    for first, n, x0 in ((0, 5, 0.0), (100, far_side, 50_000.0)):
+        nodes += [(first + r * n + c, x0 + c * 200.0, r * 200.0)
+                  for r in range(n) for c in range(n)]
+        for a in (first + r * n + c for r in range(n) for c in range(n)):
+            for b in ([a + 1] if (a - first) % n + 1 < n else []) + \
+                     ([a + n] if (a - first) // n + 1 < n else []):
+                pairs += [(a, b), (b, a)]
+    return build_network(nodes, [(i, a, b, 200.0, None) for i, (a, b) in enumerate(pairs)])
+
+
+class TestGroundTruthRoute:
+    def test_length_equals_the_whole_network_search(self):
+        rng = np.random.default_rng(29)
+        compared, unreachable = 0, 0
+        for size, seed in ((6, 1), (10, 2), (16, 3)):
+            net = make_grid_network(size, size, 200.0, spacing_jitter=0.25, seed=seed)
+            span = 200.0 * (size - 1)
+            pairs = 0
+            while pairs < 12:  # far-apart links: every monotone route between them ties
+                a, b = (net.link(int(lid)) for lid in rng.choice(net.link_ids, size=2))
+                if math.hypot(a.x0 - b.x0, a.y0 - b.y0) < 0.6 * span:
+                    continue
+                got, ref = _truth_and_reference(net, a.id, 0.3, b.id, 0.6)
+                assert got.length == ref.length
+                pairs += 1
+            compared += pairs
+        for _ in range(40):
+            net = build_network(*random_digraph(rng))
+            for _ in range(8):
+                a, b = (int(lid) for lid in rng.choice(net.link_ids, size=2))
+                got, ref = _truth_and_reference(net, a, float(rng.uniform(0.1, 0.9)),
+                                                b, float(rng.uniform(0.1, 0.9)))
+                assert (got is None) == (ref is None)
+                if ref is None:
+                    unreachable += 1
+                else:
+                    assert got.length == ref.length
+                    compared += 1
+        assert compared > 150 and unreachable > 0
+
+    def test_end_behind_the_start_goes_round_the_block(self):
+        net = _ring_with_spur()
+        got, ref = _truth_and_reference(net, 0, 0.7, 0, 0.3)
+        assert got.link_ids == ref.link_ids == (0, 1, 2, 3, 0)
+        assert got.length == ref.length == pytest.approx(0.3 * 200.0 + 600.0 + 0.3 * 200.0,
+                                                         abs=1e-6)
+        got, ref = _truth_and_reference(net, 0, 0.3, 0, 0.7)
+        assert got.link_ids == ref.link_ids == (0,)
+        # a U-turn on a two-way grid goes back by the opposite link
+        grid = make_grid_network(4, 4, 200.0, spacing_jitter=0.25, seed=1)
+        got, ref = _truth_and_reference(grid, 0, 0.7, 0, 0.3)
+        assert got.link_ids == ref.link_ids == (0, 1, 0)
+        assert got.length == ref.length
+
+    def test_unreachable_pair(self):
+        # nothing leaves the spur's end node
+        assert _truth_and_reference(_ring_with_spur(), 4, 0.5, 0, 0.5) == (None, None)
+
+    def test_cost_does_not_grow_with_the_network(self):
+        counts = []
+        for far_side in (2, 30):
+            net = _two_grids(far_side)
+            net.out_links = _CountingTable(net.out_links)
+            start = next(lid for lid in net.link_ids
+                         if (net.link(lid).from_node, net.link(lid).to_node) == (0, 1))
+            end = next(lid for lid in net.link_ids
+                       if (net.link(lid).from_node, net.link(lid).to_node) == (18, 19))
+            traj = Trajectory("hf-0", "hf", (_on_link(net, start, 0.3, 0.0),
+                                             _on_link(net, end, 0.6, 15.0)))
+            ((_, path),) = ground_truth_paths(traj, net)
+            assert path.length == pytest.approx(0.7 * 200.0 + 5 * 200.0 + 0.6 * 200.0, abs=1e-6)
+            counts.append(net.out_links.lookups)
+        assert counts[0] == counts[1] > 0
 
 
 class TestDownsample:

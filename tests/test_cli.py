@@ -300,6 +300,13 @@ def _with_second_line_twice(path):
     return b"".join(lines[:2] + lines[1:])
 
 
+def _states_without_second_interval(d):
+    """The fleet's state log without the lines of its second interval."""
+    lines = (d / "states.csv").read_text().splitlines()
+    second = sorted({int(line.split(",")[0]) for line in lines[1:]})[1]
+    return "".join(line + "\n" for line in lines if not line.startswith(f"{second},")).encode()
+
+
 # case -> (the fleet file it stands in for, its bytes; None for a missing file)
 _BAD_INPUTS = {
     "missing_pred": ("matches.csv", lambda d: None),
@@ -321,6 +328,9 @@ _BAD_INPUTS = {
     "history_repeated_probe": ("history.log", lambda d: _with_second_line_twice(d / "history.log")),
     "pred_repeated_probe": ("matches.csv", lambda d: _with_second_line_twice(d / "matches.csv")),
     "states_repeated_link": ("states.csv", lambda d: _with_second_line_twice(d / "states.csv")),
+    "states_truncated": ("states.csv", lambda d: b"".join(
+        (d / "states.csv").read_bytes().splitlines(keepends=True)[:-5])),
+    "states_missing_interval": ("states.csv", _states_without_second_interval),
 }
 
 

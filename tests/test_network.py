@@ -6,7 +6,7 @@ import pytest
 from mapfuse import network
 from mapfuse.network import InputFormatError, load_network, load_network_csv, save_network_csv
 
-from conftest import build_network
+from conftest import build_network, random_digraph
 
 
 def test_split_lengths_follow_ceiling_rule():
@@ -234,3 +234,54 @@ def test_csv_header_required(tmp_path):
     bad.write_text("")
     with pytest.raises(InputFormatError):
         load_network_csv(str(bad), str(bad), 50.0)
+
+
+def _cheapest_by_enumeration(net, src, dst, cost):
+    """The least cost of any loopless route from ``src`` to ``dst``, or None."""
+    leaving = {}
+    for link in net.links.values():
+        leaving.setdefault(link.from_node, []).append(link)
+    best = None
+
+    def walk(node, seen, total):
+        nonlocal best
+        if node == dst:
+            best = total if best is None else min(best, total)
+            return
+        for link in leaving.get(node, ()):
+            if link.to_node not in seen:
+                walk(link.to_node, seen | {link.to_node}, total + cost(link))
+
+    walk(src, {src}, 0.0)
+    return best
+
+
+def test_route_is_a_cheapest_loopless_route():
+    rng = np.random.default_rng(23)
+    for _ in range(30):
+        net = build_network(*random_digraph(rng))
+        per_link = {lid: float(rng.choice([1.0, 2.0, 3.0])) for lid in net.link_ids}
+        for cost in (lambda link: link.length, lambda link: per_link[link.id]):
+            for src in net.nodes:
+                for dst in net.nodes:
+                    best = _cheapest_by_enumeration(net, src, dst, cost)
+                    got = net.route(src, dst, cost)
+                    if best is None:
+                        assert got is None
+                        continue
+                    nodes = [src] + [net.link(lid).to_node for lid in got]
+                    assert [net.link(lid).from_node for lid in got] == nodes[:-1]
+                    assert nodes[-1] == dst and len(set(nodes)) == len(nodes)
+                    assert sum(cost(net.link(lid)) for lid in got) == best
+
+
+@pytest.mark.parametrize("first", [1, 2])
+def test_route_ties_go_to_the_lower_link_id(first):
+    # two 200 m routes from node 0 to node 3; the one through ``first`` leaves by link 0
+    other = 3 - first
+    nodes = [(0, 0.0, 0.0), (1, 100.0, 100.0), (2, 100.0, -100.0), (3, 200.0, 0.0)]
+    links = [(0, 0, first, 100.0, None), (1, 0, other, 100.0, None),
+             (2, other, 3, 100.0, None), (3, first, 3, 100.0, None)]
+    net = build_network(nodes, links)
+    assert "out_links" not in vars(net)  # the table is built on first use
+    assert net.route(0, 3, lambda link: link.length) == [0, 3]

@@ -375,6 +375,18 @@ def test_states_csv_round_trip(tmp_path):
         assert b.values.tolist() == pytest.approx(a.values.tolist(), abs=1e-10)
 
 
+@pytest.mark.parametrize("dropped, message", [("6,2,", "interval 6 lacks link 2"),
+                                              ("5,", "interval 5 is missing")])
+def test_states_csv_needs_every_link_of_consecutive_intervals(tmp_path, dropped, message):
+    net = chain_net(3)
+    path = tmp_path / "states.csv"
+    write_states_csv(str(path), net, [aggregate_interval(net, [0], j) for j in (4, 5, 6)])
+    lines = path.read_text().splitlines()
+    path.write_text("".join(line + "\n" for line in lines if not line.startswith(dropped)))
+    with pytest.raises(InputFormatError, match=f"states.csv: {message}"):
+        read_states_csv(str(path), net)
+
+
 def test_simplex_project():
     assert simplex_project(np.array([0.5, -0.2, 0.5])).tolist() == pytest.approx([0.5, 0.0, 0.5])
     assert simplex_project(np.array([-1.0, -2.0])).tolist() == [0.5, 0.5]
