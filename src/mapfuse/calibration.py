@@ -80,8 +80,9 @@ def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
     """Thin a trajectory to probes on a coarser regular grid.
 
     ``keep_interval`` must be an integer multiple of the source probing
-    interval; probes at multiples of it from the start time are retained
-    untouched.
+    interval; probes at multiples of it from the start time, to within a
+    millionth of the source interval, are retained untouched. So an
+    interval longer than the trip keeps only its first probe.
     """
     if not (math.isfinite(keep_interval) and keep_interval > 0):
         raise ValueError(f"keep interval must be finite and positive, got {keep_interval}")
@@ -94,7 +95,8 @@ def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
             f"keep interval {keep_interval} is not a multiple of the source interval {source}")
     t0 = trajectory.t0
     kept = tuple(p for p in trajectory.probes
-                 if abs((p.t - t0) / keep_interval - round((p.t - t0) / keep_interval)) < 1e-6)
+                 if abs(p.t - t0 - keep_interval * round((p.t - t0) / keep_interval))
+                 < 1e-6 * source)
     return Trajectory(trajectory.id, trajectory.vehicle, kept)
 
 
@@ -154,7 +156,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
     if target.std() < 1e-12:
         # constant targets put no signal on the weights; the bias absorbs it all
         bias = float(target.mean())
-        return WeightFit(FusionWeights(1 / 3, 1 / 3, 1 / 3, bias), FusionWeights.equal(), bias)
+        return WeightFit(FusionWeights(1 / 3, 1 / 3, 1 / 3), FusionWeights.equal(), bias)
 
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
@@ -214,7 +216,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
 
     logits, bias = best
     w = _softmax(logits)
-    result.weights = FusionWeights(float(w[0]), float(w[1]), float(w[2]), bias)
+    result.weights = FusionWeights(float(w[0]), float(w[1]), float(w[2]))
     result.rounded = _round_weights(w)
     result.bias = bias
     return result
@@ -243,7 +245,8 @@ def read_weights_json(path: str) -> FusionWeights:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
-        return FusionWeights(float(payload["wp"]), float(payload["wc"]),
-                             float(payload["wa"]), float(payload.get("bias", 0.0)))
+        if not math.isfinite(float(payload.get("bias", 0.0))):
+            raise ValueError("bias must be finite")
+        return FusionWeights(float(payload["wp"]), float(payload["wc"]), float(payload["wa"]))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad weights file: {exc}") from exc

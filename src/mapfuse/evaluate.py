@@ -7,6 +7,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+from .calibration import path_accuracy
 from .matcher import MatchRow
 from .network import InputFormatError
 
@@ -32,16 +33,8 @@ def recall_index(pred: Rows, truth: Rows) -> float:
     """Mean per-segment share of inferred edges that lie on the true path."""
     if set(pred) != set(truth):
         raise InputFormatError("prediction and truth rows are misaligned")
-    overlaps = []
-    for key, row in truth.items():
-        if key[1] == 0 or row.path is None:
-            continue
-        inferred = pred[key].path
-        if not inferred:
-            overlaps.append(0.0)
-            continue
-        truth_edges = set(row.path)
-        overlaps.append(sum(1 for e in inferred if e in truth_edges) / len(inferred))
+    overlaps = [path_accuracy(pred[key].path, row.path) if pred[key].path else 0.0
+                for key, row in truth.items() if key[1] != 0 and row.path is not None]
     if not overlaps:
         raise EmptyResultError("no segments to evaluate")
     return 100.0 * sum(overlaps) / len(overlaps)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
+from .geometry import _check_lonlat
 from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
 
 DAY_SECONDS = 86_400.0
@@ -35,6 +36,7 @@ class Probe:
     def __post_init__(self):
         if not all(map(math.isfinite, (self.lon, self.lat, self.t, self.bearing))):
             raise ValueError("probe has non-finite fields")
+        _check_lonlat(self.lon, self.lat)
         if not (0.0 <= self.speed < MAX_PROBE_SPEED):
             raise ValueError(f"probe speed {self.speed} outside [0, {MAX_PROBE_SPEED})")
 
@@ -319,13 +321,15 @@ class HistoryStore:
         ``prefix`` namespaces the stored ids so a warm start cannot collide
         with the session's own trajectory ids.
         """
-        keys = {f"{key[0]}:{key[1]}": key
-                for link in self.network.links.values() for key in link.edge_keys}
+        keys: dict[str, EdgeKey] = {}  # "link:edge" -> the network's key, built on first need
         fields: dict[str, tuple] = {"": (None, None)}  # one entry per distinct field text
 
         def resolve(text: str) -> tuple[tuple[EdgeKey, ...] | None, EdgeKey | None]:
             """A field's edges as the network's own key tuples, and the first it lacks or None."""
             if text not in fields:
+                if not keys:  # an empty log never pays for the table
+                    keys.update((f"{key[0]}:{key[1]}", key) for link in self.network.links.values()
+                                for key in link.edge_keys)
                 try:
                     fields[text] = (tuple([keys[item] for item in text.split(";")]), None)
                 except KeyError:  # another spelling, an unknown edge or bad text

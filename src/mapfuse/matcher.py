@@ -80,8 +80,6 @@ class MatcherConfig:
 @dataclass
 class SegmentOutcome:
     path: CandidatePath
-    scores: ScoreVector
-    final: float
     candidates: list[CandidatePath]
     candidate_scores: list[ScoreVector]
 
@@ -114,8 +112,7 @@ class TrafficLedger:
     def state(self, interval: int) -> StateVector:
         cached = self._states.get(interval)
         if cached is None:
-            cached = aggregate_interval(self.network, sorted(self._locations.get(interval, [])),
-                                        interval)
+            cached = aggregate_interval(self.network, self._locations.get(interval, []), interval)
             self._states[interval] = cached
         return cached
 
@@ -216,8 +213,8 @@ class MatchSession:
                                        cfg.use_traffic and predicted is not None)
         vectors = [ScoreVector(k, h, a) for k, h, a in zip(kin, habit, traffic)]
         finals = [final_score(v, weights) for v in vectors]
-        idx, best = select_path(list(zip(paths, finals)))
-        return SegmentOutcome(best, vectors[idx], finals[idx], paths, vectors)
+        _, best = select_path(list(zip(paths, finals)))
+        return SegmentOutcome(best, paths, vectors)
 
     def match_trajectory(self, trajectory: Trajectory) -> MatchRecord:
         """Match every probe pair of a trajectory in time order."""

@@ -19,7 +19,8 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .geometry import PlanarProjector, SegmentProjection, project_to_segment, segment_bearing
+from .geometry import (PlanarProjector, SegmentProjection, _check_lonlat, project_to_segment,
+                       segment_bearing)
 
 # Edges are addressed by (link id, 1-based position within the link).
 EdgeKey = tuple[int, int]
@@ -139,9 +140,6 @@ class SpatialGrid:
                 seen.update(cells.get((i, j), ()))
         return list(seen.values())
 
-    def query_radius(self, x: float, y: float, radius: float) -> list[Edge]:
-        return self.query_bbox(x - radius, y - radius, x + radius, y + radius)
-
 
 class RoadNetwork:
     """Immutable directed road graph with subdivided links."""
@@ -152,7 +150,6 @@ class RoadNetwork:
         self.nodes = dict(nodes)
         self.links = dict(links)
         self.projector = projector
-        self.split_length = split_length
         self.links_name = links_name  # names the link source in errors about other files
         self.link_ids: tuple[int, ...] = tuple(sorted(self.links))
         self._link_row = {lid: i for i, lid in enumerate(self.link_ids)}
@@ -185,7 +182,7 @@ class RoadNetwork:
 
     def edges_near(self, x: float, y: float, radius: float) -> list[Edge]:
         """Superset of the edges within ``radius`` of (x, y)."""
-        return self._grid.query_radius(x, y, radius)
+        return self._grid.query_bbox(x - radius, y - radius, x + radius, y + radius)
 
     def edges_in_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[Edge]:
         return self._grid.query_bbox(xmin, ymin, xmax, ymax)
@@ -317,6 +314,7 @@ class _NetworkBuilder:
             raise InputFormatError(f"duplicate node id {nid}")
         if not (math.isfinite(lon) and math.isfinite(lat)):
             raise InputFormatError(f"non-finite coordinates for node {nid}")
+        _check_lonlat(lon, lat)  # here, so a reader blames the node's own row
         self.raw_nodes[nid] = (lon, lat)
 
     def _project_nodes(self) -> None:

@@ -36,12 +36,11 @@ class FusionWeights:
     kinematic: float
     habit: float
     traffic: float
-    bias: float = 0.0
 
     def __post_init__(self):
         w = (self.kinematic, self.habit, self.traffic)
-        if not all(math.isfinite(v) for v in (*w, self.bias)):
-            raise ValueError("weights and bias must be finite")
+        if not all(math.isfinite(v) for v in w):
+            raise ValueError("weights must be finite")
         if any(v < -1e-12 for v in w):
             raise ValueError("weights must be nonnegative")
         if abs(sum(w) - 1.0) > 1e-9:
@@ -70,7 +69,7 @@ class FusionWeights:
             share = 1.0 / sum(mask)
             raw = [share if on else 0.0 for on in mask]
             total = 1.0
-        return FusionWeights(raw[0] / total, raw[1] / total, raw[2] / total, self.bias)
+        return FusionWeights(raw[0] / total, raw[1] / total, raw[2] / total)
 
 
 def speed_weight(v_prev: float, v_cur: float, path_length: float,

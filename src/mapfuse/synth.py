@@ -15,6 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
+from . import network as network_mod
+from .geometry import PlanarProjector
 from .history import MatchRecord, Probe, Trajectory
 from .network import EdgeKey, RoadNetwork, load_network
 
@@ -26,9 +28,13 @@ def make_grid_network(n_cols: int = 8, n_rows: int = 8, spacing: float = 200.0,
 
     With ``spacing_jitter`` > 0 the row/column gaps vary by up to that
     fraction of ``spacing``, which breaks the exact path-length ties a
-    uniform grid produces everywhere.
+    uniform grid produces everywhere. A grid of more links than a network
+    may have edges is refused before any row is built.
     """
-    lon0, lat0 = 119.30, 24.51  # the first node
+    n_links = 2 * (n_cols - 1) * n_rows + 2 * (n_rows - 1) * n_cols
+    if n_links > network_mod.MAX_EDGES:  # every link has at least one edge
+        raise ValueError(f"a {n_cols} x {n_rows} grid has {n_links} links, more than the "
+                         f"{network_mod.MAX_EDGES} edges a network may have")
     rng = np.random.default_rng(seed)
 
     def gaps(n):
@@ -44,16 +50,9 @@ def make_grid_network(n_cols: int = 8, n_rows: int = 8, spacing: float = 200.0,
     for g in gaps(n_rows):
         ys.append(ys[-1] + g)
 
-    # invert the equirectangular projection for node placement
-    kx = 6_371_000.0 * math.cos(math.radians(lat0))
-    ky = 6_371_000.0
-    nodes = []
-    for r in range(n_rows):
-        for c in range(n_cols):
-            nid = r * n_cols + c
-            lon = lon0 + math.degrees(xs[c] / kx)
-            lat = lat0 + math.degrees(ys[r] / ky)
-            nodes.append((nid, lon, lat))
+    to_lonlat = PlanarProjector(119.30, 24.51).to_lonlat  # the first node sits at the origin
+    nodes = [(r * n_cols + c, *to_lonlat(xs[c], ys[r]))
+             for r in range(n_rows) for c in range(n_cols)]
     links = []
     lid = 0
     for r in range(n_rows):
@@ -128,8 +127,6 @@ def route_edges_between(network: RoadNetwork, route: RouteGeometry,
 
 @dataclass
 class TruthTrip:
-    trajectory_id: str
-    vehicle: str
     probe_times: tuple[float, ...]
     probe_s: tuple[float, ...]
     probe_edges: tuple[EdgeKey, ...]
@@ -142,7 +139,6 @@ class SyntheticFleet:
     trajectories: list[Trajectory]
     truths: dict[str, TruthTrip]
     link_speeds: dict[int, float]
-    probe_interval: float
 
     def trajectories_of_trip(self, trip_index: int) -> list[Trajectory]:
         suffix = f"-{trip_index}"
@@ -353,7 +349,6 @@ def generate_synthetic(network: RoadNetwork, n_vehicles: int, habit_strength: fl
             tid = f"{vehicle}-{emitted}"
             emitted += 1
             trajectories.append(Trajectory(tid, vehicle, tuple(probes)))
-            truths[tid] = TruthTrip(tid, vehicle, tuple(p_times), tuple(p_s),
-                                    tuple(p_edges), route)
+            truths[tid] = TruthTrip(tuple(p_times), tuple(p_s), tuple(p_edges), route)
 
-    return SyntheticFleet(network, trajectories, truths, speeds, probe_interval)
+    return SyntheticFleet(network, trajectories, truths, speeds)

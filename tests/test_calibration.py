@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from mapfuse.calibration import (downsample, fit_weights, ground_truth_paths, pa
                                  read_samples_csv, read_weights_json, write_samples_csv,
                                  write_weights_json)
 from mapfuse.history import Probe, Trajectory
+from mapfuse.network import InputFormatError
 from mapfuse.path_search import SubGraph, find_candidate_edges, k_shortest_paths
 from mapfuse.synth import make_grid_network
 
@@ -202,6 +204,11 @@ class TestDownsample:
         with pytest.raises(ValueError, match="finite and positive"):
             downsample(traj, interval)
 
+    def test_interval_past_the_trip_keeps_only_the_first_probe(self, chain_network):
+        traj = _chain_trajectory(chain_network, [10.0 + 20.0 * i for i in range(6)])
+        for interval in (1.5e6, 1e308):
+            assert downsample(traj, interval).probes == traj.probes[:1]
+
     def test_composition_is_idempotent_on_aligned_grids(self, chain_network):
         traj = _chain_trajectory(chain_network, [10.0 + 10.0 * i for i in range(17)])
         once = downsample(traj, 60.0)
@@ -308,4 +315,12 @@ def test_weights_json_round_trip(tmp_path):
     loaded = read_weights_json(str(path))
     assert loaded.kinematic == pytest.approx(fit.weights.kinematic)
     assert loaded.habit == pytest.approx(fit.weights.habit)
-    assert loaded.bias == pytest.approx(fit.bias)
+    assert json.loads(path.read_text())["bias"] == fit.bias  # kept in the file only
+
+
+@pytest.mark.parametrize("bias", [math.nan, math.inf])
+def test_weights_json_with_a_non_finite_bias_is_rejected(tmp_path, bias):
+    path = tmp_path / "weights.json"
+    path.write_text(json.dumps({"wp": 0.2, "wc": 0.5, "wa": 0.3, "bias": bias}))
+    with pytest.raises(InputFormatError, match="bias must be finite"):
+        read_weights_json(str(path))

@@ -359,6 +359,43 @@ class TestBadInputFiles:
         assert f"{bad}:3: " in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("column, value", [(2, "200"), (3, "95")])
+    @pytest.mark.parametrize("command", ["match", "match_history", "calibrate", "downsample"])
+    def test_probe_out_of_range_names_file_and_line(self, fleet, tmp_path, capsys, command,
+                                                     column, value):
+        lines = (fleet / "probes.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "probes.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        network = ["--nodes", str(fleet / "nodes.csv"), "--links", str(fleet / "links.csv")]
+        out = str(tmp_path / "out")
+        argv = {"match": ["match", *network, "--probes", str(bad), "--out", out],
+                "match_history": ["match", *network, "--probes", str(fleet / "probes.csv"),
+                                  "--history-log", str(fleet / "history.log"),
+                                  "--history-probes", str(bad), "--out", out],
+                "calibrate": ["calibrate", *network, "--probes", str(bad), "--out", out],
+                "downsample": ["downsample", "--probes", str(bad), "--out", out,
+                               "--interval", "120"]}[command]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: coordinates out of range" in err
+
+    @pytest.mark.parametrize("column, value", [(1, "200"), (2, "-95")])
+    def test_node_out_of_range_names_the_nodes_row(self, fleet, tmp_path, capsys, column,
+                                                   value):
+        lines = (fleet / "nodes.csv").read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[column] = value
+        lines[2] = ",".join(fields)
+        bad = tmp_path / "nodes.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(_reader_argv(fleet, "nodes.csv", bad)) == 2
+        err = capsys.readouterr().err
+        assert f"{bad}:3: coordinates out of range" in err and "links.csv" not in err
+
+
 def test_state_log_link_missing_from_links_names_both(fleet, tmp_path, capsys):
     links = tmp_path / "short-links.csv"
     links.write_bytes(_links_without_first_logged(fleet))
@@ -402,6 +439,14 @@ def test_downsample_infinite_interval_is_2(fleet, tmp_path, capsys):
     assert main(["downsample", "--probes", str(fleet / "probes.csv"),
                  "--out", str(tmp_path / "thin.csv"), "--interval", "inf"]) == 2
     assert "interval" in capsys.readouterr().err
+
+
+def test_downsample_interval_past_every_trip_is_3(fleet, tmp_path, capsys):
+    out = tmp_path / "thin.csv"
+    assert main(["downsample", "--probes", str(fleet / "probes.csv"), "--out", str(out),
+                 "--interval", "1e308"]) == 3
+    assert "no trajectory" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags", [["--n-trajectories", "-1", "--cost-seconds", "2"],
@@ -492,6 +537,14 @@ def test_split_length_past_the_edge_limit_is_2(fleet, tmp_path, capsys, monkeypa
     assert main(_match_argv(fleet, tmp_path / "m.csv", "--split-length", "1")) == 2
     err = capsys.readouterr().err
     assert "links.csv" in err and "split length 1.0 m" in err
+
+
+def test_synth_grid_past_the_edge_limit_is_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mapfuse.network.MAX_EDGES", 100)
+    monkeypatch.setattr("mapfuse.synth.load_network", lambda *rows: pytest.fail("built"))
+    assert main(["synth", "--out", str(tmp_path / "p.csv"),
+                 "--grid-cols", "6", "--grid-rows", "6"]) == 2
+    assert "grid has 120 links" in capsys.readouterr().err
 
 
 def test_every_pipeline_key_names_a_config_field():

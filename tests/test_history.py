@@ -496,6 +496,21 @@ class TestLoadLog:
         unknown = message.startswith("edge")
         assert str(info.value) == f"{log_path}:2: {'trajectory a-0: ' if unknown else ''}{message}"
 
+    def test_key_table_is_built_on_the_first_edge_field(self, chain_network, tmp_path,
+                                                        trips, monkeypatch):
+        built = []
+
+        class Links(dict):
+            def values(self):
+                built.append(1)
+                return super().values()
+
+        monkeypatch.setattr(chain_network, "links", Links(chain_network.links))
+        for text, tables in (("", 0), ("\n\n", 0), (self.CANONICAL, 1)):
+            built.clear()
+            _load(chain_network, tmp_path, text, trips)
+            assert len(built) == tables
+
     def test_lines_with_one_text_share_one_tuple(self, chain_network, tmp_path):
         trips = {tid: _trajectory(chain_network, tid, tid[0]) for tid in ("a-0", "b-0")}
         text = "".join(f"{tid}|1|1:1|0:3;0:4;1:1\n" for tid in trips)
@@ -595,3 +610,6 @@ def test_probe_validation():
         Probe(t=0.0, speed=80.0, bearing=0.0, lon=0.0, lat=0.0)
     with pytest.raises(ValueError):
         Probe(t=0.0, speed=1.0, bearing=0.0, lon=math.nan, lat=0.0)
+    for lon, lat in ((200.0, 0.0), (-180.5, 0.0), (0.0, 95.0), (0.0, -90.5)):
+        with pytest.raises(ValueError, match="out of range"):
+            Probe(t=0.0, speed=1.0, bearing=0.0, lon=lon, lat=lat)

@@ -27,6 +27,15 @@ class TestGridNetwork:
             b = grid.link(lid).bearing
             assert min(b % 90.0, 90.0 - b % 90.0) < 0.2
 
+    def test_grid_past_the_edge_limit_is_refused_before_any_row(self, monkeypatch):
+        # a 6 x 6 grid has 120 links; at one edge each it fits a limit of 120 exactly
+        monkeypatch.setattr("mapfuse.network.MAX_EDGES", 120)
+        assert make_grid_network(6, 6, split_length=200.0).n_links() == 120
+        monkeypatch.setattr("mapfuse.network.MAX_EDGES", 119)
+        monkeypatch.setattr("mapfuse.synth.load_network", lambda *rows: pytest.fail("built"))
+        with pytest.raises(ValueError, match="6 x 6 grid has 120 links"):
+            make_grid_network(6, 6, split_length=200.0)
+
 
 class TestGenerator:
     def test_seed_determinism(self, grid):
