@@ -79,10 +79,11 @@ def ground_truth_paths(trajectory: Trajectory, network: RoadNetwork, *,
 def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
     """Thin a trajectory to probes on a coarser regular grid.
 
-    ``keep_interval`` must be an integer multiple of the source probing
-    interval; probes at multiples of it from the start time, to within a
-    millionth of the source interval, are retained untouched. So an
-    interval longer than the trip keeps only its first probe.
+    ``keep_interval`` must be an integer multiple k of the source probing
+    interval, to within a millionth; probes at multiples of k source
+    intervals from the start time, to within a millionth of the source
+    interval, are retained untouched. So an interval longer than the trip
+    keeps only its first probe.
     """
     if not (math.isfinite(keep_interval) and keep_interval > 0):
         raise ValueError(f"keep interval must be finite and positive, got {keep_interval}")
@@ -93,10 +94,9 @@ def downsample(trajectory: Trajectory, keep_interval: float) -> Trajectory:
     if abs(ratio - round(ratio)) > 1e-6 or round(ratio) < 1:
         raise ValueError(
             f"keep interval {keep_interval} is not a multiple of the source interval {source}")
-    t0 = trajectory.t0
+    t0, step = trajectory.t0, round(ratio) * source
     kept = tuple(p for p in trajectory.probes
-                 if abs(p.t - t0 - keep_interval * round((p.t - t0) / keep_interval))
-                 < 1e-6 * source)
+                 if abs(p.t - t0 - step * round((p.t - t0) / step)) < 1e-6 * source)
     return Trajectory(trajectory.id, trajectory.vehicle, kept)
 
 
@@ -231,8 +231,8 @@ def write_samples_csv(path: str, samples: Sequence[CalibrationSample]) -> None:
 
 
 def read_samples_csv(path: str) -> list[CalibrationSample]:
-    return list(_read_csv(path, ("S_P", "S_C", "S_A", "Y"), lambda rec: CalibrationSample(
-        float(rec["S_P"]), float(rec["S_C"]), float(rec["S_A"]), float(rec["Y"]))))
+    return list(_read_csv(path, ("S_P", "S_C", "S_A", "Y"), lambda p, c, a, y: CalibrationSample(
+        float(p), float(c), float(a), float(y))))
 
 
 def write_weights_json(path: str, fit: WeightFit) -> None:

@@ -34,10 +34,13 @@ class Probe:
     lat: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.lon, self.lat, self.t, self.bearing))):
-            raise ValueError("probe has non-finite fields")
-        _check_lonlat(self.lon, self.lat)
-        if not (0.0 <= self.speed < MAX_PROBE_SPEED):
+        # one chain accepts a valid probe; the ordered checks only word a rejection
+        if not (-180.0 <= self.lon <= 180.0 and -90.0 <= self.lat <= 90.0
+                and 0.0 <= self.speed < MAX_PROBE_SPEED
+                and -math.inf < self.t < math.inf and -math.inf < self.bearing < math.inf):
+            if not all(map(math.isfinite, (self.lon, self.lat, self.t, self.bearing))):
+                raise ValueError("probe has non-finite fields")
+            _check_lonlat(self.lon, self.lat)
             raise ValueError(f"probe speed {self.speed} outside [0, {MAX_PROBE_SPEED})")
 
 
@@ -97,11 +100,8 @@ class MatchRecord:
 
     def matched_locations(self) -> list[tuple[float, int]]:
         """(timestamp, link id) for every matched probe."""
-        out = []
-        for t, edge in zip(self.probe_times, self.matched_edges):
-            if edge is not None:
-                out.append((t, edge[0]))
-        return out
+        return [(t, edge[0]) for t, edge in zip(self.probe_times, self.matched_edges)
+                if edge is not None]
 
 
 def _edges_connected(network: RoadNetwork, a: EdgeKey, b: EdgeKey) -> bool:
@@ -338,7 +338,7 @@ class HistoryStore:
                                     next((k for k in pairs if f"{k[0]}:{k[1]}" not in keys), None))
             return fields[text]
 
-        per_trip: dict[str, dict[int, tuple[EdgeKey | None, tuple[EdgeKey, ...] | None]]] = {}
+        per_trip: dict[str, tuple[dict, dict]] = {}  # probe index -> matched edge, -> path
         try:
             with open(path, encoding="utf-8") as fh:
                 for lineno, line in enumerate(fh, start=1):
@@ -356,10 +356,11 @@ class HistoryStore:
                     if bad := bad_seg or bad_edge:  # the path's key is reported first
                         raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
                                                f"edge {bad} is not in {self.network.links_name}")
-                    if idx in per_trip.setdefault(tid, {}):
+                    matched, paths = per_trip.get(tid) or per_trip.setdefault(tid, ({}, {}))
+                    if idx in matched:
                         raise InputFormatError(f"{path}:{lineno}: trajectory {tid}: "
                                                f"duplicate line for probe {idx}")
-                    per_trip[tid][idx] = (edge, seg)
+                    matched[idx], paths[idx] = edge, seg
         except (OSError, UnicodeDecodeError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
         loaded = 0
@@ -368,18 +369,18 @@ class HistoryStore:
             if tid not in trajectories:
                 raise InputFormatError(f"{path}: trajectory {tid} is not in the history probes")
             traj = trajectories[tid]
-            rows = per_trip[tid]
+            matched, paths = per_trip[tid]
             n = len(traj.probes)
-            if min(rows) < 0 or max(rows) >= n:
-                bad = next(i for i in rows if not 0 <= i < n)
+            if min(matched) < 0 or max(matched) >= n:
+                bad = next(i for i in matched if not 0 <= i < n)
                 raise InputFormatError(f"{path}: trajectory {tid}: probe index {bad} is "
                                        f"outside its {n} probes")
-            matched, paths = zip(*[rows.get(i, (None, None)) for i in range(n)])
             try:
                 self.record_match(MatchRecord(
                     trajectory_id=prefix + tid, vehicle=traj.vehicle,
                     probe_times=tuple(p.t for p in traj.probes),
-                    matched_edges=matched, paths=paths,
+                    matched_edges=tuple(map(matched.get, range(n))),
+                    paths=tuple(map(paths.get, range(n))),
                     start_lonlat=(traj.start.lon, traj.start.lat),
                     end_lonlat=(traj.end.lon, traj.end.lat),
                     t0=traj.t0, t_end=traj.t_end), connected)
@@ -408,11 +409,9 @@ def parse_edges(text: str) -> tuple[EdgeKey, ...] | None:
 PROBE_COLUMNS = ("vehicle_id", "timestamp", "lon", "lat", "speed_mps", "bearing_deg")
 
 
-def _probe_row(rec: dict) -> tuple[str, Probe]:
-    return rec["vehicle_id"], Probe(
-        t=float(rec["timestamp"]), speed=float(rec["speed_mps"]),
-        bearing=float(rec["bearing_deg"]) % 360.0,
-        lon=float(rec["lon"]), lat=float(rec["lat"]))
+def _probe_row(vehicle, t, lon, lat, speed, bearing) -> tuple[str, Probe]:
+    return vehicle, Probe(float(t), float(speed), float(bearing) % 360.0,
+                          float(lon), float(lat))
 
 
 def load_probes_csv(path: str) -> dict[str, list[Probe]]:

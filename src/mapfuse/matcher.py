@@ -105,9 +105,9 @@ class TrafficLedger:
         return math.floor(t / self.config.update_interval) + 1
 
     def add_locations(self, locations: Iterable[tuple[float, int]]) -> None:
+        interval, buckets = self.config.update_interval, self._locations
         for t, link_id in locations:
-            j = self.interval_of(t)
-            self._locations.setdefault(j, []).append(link_id)
+            buckets.setdefault(math.floor(t / interval) + 1, []).append(link_id)  # interval_of(t)
 
     def state(self, interval: int) -> StateVector:
         cached = self._states.get(interval)
@@ -213,7 +213,7 @@ class MatchSession:
                                        cfg.use_traffic and predicted is not None)
         vectors = [ScoreVector(k, h, a) for k, h, a in zip(kin, habit, traffic)]
         finals = [final_score(v, weights) for v in vectors]
-        _, best = select_path(list(zip(paths, finals)))
+        best = select_path(list(zip(paths, finals)))
         return SegmentOutcome(best, paths, vectors)
 
     def match_trajectory(self, trajectory: Trajectory) -> MatchRecord:
@@ -335,15 +335,17 @@ class MatchRow:
 def read_match_csv(path: str) -> dict[tuple[str, int], MatchRow]:
     rows: dict[tuple[str, int], MatchRow] = {}
 
-    def store(rec: dict) -> None:
-        key = (rec["trajectory_id"], int(rec["probe_idx"]))
+    def store(tid, idx, timestamp, link_id, edge_idx, matched, path_edges) -> None:
+        key = (tid, int(idx))
         if key in rows:
             raise ValueError(f"duplicate row for trajectory {key[0]} probe {key[1]}")
-        timestamp = float(rec["timestamp"])
+        timestamp = float(timestamp)
         if not math.isfinite(timestamp):
             raise ValueError(f"non-finite timestamp {timestamp}")
-        edge = (int(rec["link_id"]), int(rec["edge_idx"])) if rec["matched"] == "1" else None
-        rows[key] = MatchRow(*key, timestamp, edge, parse_edges(rec["path_edges"]))
+        if matched not in ("0", "1"):
+            raise ValueError(f"matched must be 0 or 1, got {matched!r}")
+        edge = (int(link_id), int(edge_idx)) if matched == "1" else None
+        rows[key] = MatchRow(*key, timestamp, edge, parse_edges(path_edges))
 
     for _ in _read_csv(path, MATCH_COLUMNS, store):
         pass

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
@@ -342,10 +343,10 @@ class _NetworkBuilder:
             raise InputFormatError(f"link {lid} is a self loop")
         a, b = self.nodes[from_node], self.nodes[to_node]
         geo_length = math.hypot(b.x - a.x, b.y - a.y)
-        length = float(length_in) if length_in is not None else geo_length
+        length = float(length_in) if length_in not in (None, "") else geo_length
         if length <= 0 or not math.isfinite(length):
             raise InputFormatError(f"link {lid} has non-positive length")
-        if bearing_in is not None:
+        if bearing_in not in (None, ""):
             bearing = float(bearing_in) % 360.0  # NaN for a non-finite bearing
             if math.isnan(bearing):
                 raise InputFormatError(f"link {lid} has a non-finite bearing")
@@ -394,7 +395,7 @@ def load_network(nodes_table: Iterable[tuple], links_table: Iterable[tuple],
 
     ``nodes_table`` rows: (node_id, lon, lat).
     ``links_table`` rows: (link_id, from_node, to_node[, length_m[, bearing_deg]])
-    with None for absent optionals. Explicit length and bearing win over
+    with None or "" for absent optionals. Explicit length and bearing win over
     geometry when provided.
     """
     build = _NetworkBuilder(split_length)
@@ -405,26 +406,30 @@ def load_network(nodes_table: Iterable[tuple], links_table: Iterable[tuple],
     return build.network()
 
 
-def _read_csv(path: str, required: Sequence[str],
-              convert: Callable[[dict], _Row]) -> Iterator[_Row]:
-    """``convert`` of each row of a CSV file with a header row.
-
-    The one place that opens a CSV for reading: a missing, unreadable or
-    non-UTF-8 file, a missing column, or a row that ``convert`` rejects with
-    KeyError, TypeError or ValueError raises InputFormatError naming the
-    file, and for a row its line.
+def _read_csv(path: str, required: Sequence[str], convert: Callable[..., _Row],
+              optional: Sequence[str] = ()) -> Iterator[_Row]:
+    """``convert(*cells)`` of each non-blank row of a CSV file with a header row, with
+    the cells under the ``required`` columns (two or more), then the ``optional`` ones;
+    an absent optional column or a short row reads None. The one place that opens a
+    CSV for reading: a missing, unreadable or non-UTF-8 file, a missing column, or a
+    row that ``convert`` rejects with KeyError, TypeError or ValueError raises
+    InputFormatError naming the file, and for a row its line.
     """
     try:
         with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            if (header := next(reader, None)) is None:
                 raise InputFormatError(f"{path}: empty file (header row required)")
-            missing = [c for c in required if c not in reader.fieldnames]
-            if missing:
+            index = {name: i for i, name in enumerate(header)}  # a repeated name: its last
+            if missing := [c for c in required if c not in index]:
                 raise InputFormatError(f"{path}: missing columns {missing}")
-            for rec in reader:
+            columns = [index[c] for c in required] + [index.get(c, len(header)) for c in optional]
+            cells, width = itemgetter(*columns), max(columns) + 1
+            for row in filter(None, reader):  # a blank line reads as no cells
+                if len(row) < width:
+                    row += [None] * (width - len(row))
                 try:
-                    yield convert(rec)
+                    yield convert(*cells(row))
                 except (KeyError, TypeError, ValueError) as exc:
                     reason = f"unknown id {exc}" if isinstance(exc, KeyError) else exc
                     raise InputFormatError(f"{path}:{reader.line_num}: {reason}") from exc
@@ -457,12 +462,9 @@ def load_network_csv(nodes_path: str, links_path: str, split_length: float) -> R
     optional ``length_m`` and ``bearing_deg`` columns.
     """
     build = _NetworkBuilder(split_length, nodes_path, links_path)
-    for _ in _read_csv(nodes_path, ("node_id", "lon", "lat"),
-                       lambda rec: build.add_node(rec["node_id"], rec["lon"], rec["lat"])):
+    for _ in _read_csv(nodes_path, ("node_id", "lon", "lat"), build.add_node):
         pass
-    for _ in _read_csv(links_path, ("link_id", "from_node", "to_node"),
-                       lambda rec: build.add_link(rec["link_id"], rec["from_node"], rec["to_node"],
-                                                  rec.get("length_m") or None,
-                                                  rec.get("bearing_deg") or None)):
+    for _ in _read_csv(links_path, ("link_id", "from_node", "to_node"), build.add_link,
+                       optional=("length_m", "bearing_deg")):
         pass
     return build.network()

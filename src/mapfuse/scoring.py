@@ -139,13 +139,11 @@ def final_score(scores: ScoreVector, weights: FusionWeights) -> float:
             + weights.traffic * scores.traffic)
 
 
-def select_path(scored: Sequence[tuple[CandidatePath, float]]) -> tuple[int, CandidatePath]:
-    """Index and path with the highest final score.
+def select_path(scored: Sequence[tuple[CandidatePath, float]]) -> CandidatePath:
+    """The path with the highest final score.
 
     Ties go to the shorter path, then to lexicographically smaller edge ids.
     """
     if not scored:
         raise ValueError("empty candidate set")
-    best_i = min(range(len(scored)),
-                 key=lambda i: (-scored[i][1],) + scored[i][0].sort_key)
-    return best_i, scored[best_i][0]
+    return min(scored, key=lambda pair: (-pair[1],) + pair[0].sort_key)[0]

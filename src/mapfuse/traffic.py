@@ -369,8 +369,8 @@ def write_states_csv(path: str, network: RoadNetwork, states: Sequence[StateVect
 def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:
     rows: dict[int, np.ndarray] = {}  # NaN: no line has given the link yet
 
-    def store(rec: dict) -> None:
-        x, link_id, j = float(rec["X"]), int(rec["link_id"]), int(rec["interval_j"])
+    def store(j, link_id, x) -> None:
+        x, link_id, j = float(x), int(link_id), int(j)
         if not math.isfinite(x):
             raise ValueError(f"non-finite X {x}")
         if link_id not in network.links:

@@ -1,21 +1,18 @@
-import math
-
 import pytest
 
+from mapfuse.geometry import PlanarProjector
 from mapfuse.history import Probe
 from mapfuse.network import RoadNetwork, load_network
 
 # Anchor far from poles; projection scale factors stay sane.
 ORIGIN = (119.30, 24.51)
+# The frame of the planar test coordinates; its inverse places them on lon/lat.
+_FRAME = PlanarProjector(*ORIGIN)
 
 
 def planar_nodes_to_lonlat(coords):
     """Place planar meter coordinates on the lon/lat patch around ORIGIN."""
-    lon0, lat0 = ORIGIN
-    kx = 6_371_000.0 * math.cos(math.radians(lat0))
-    ky = 6_371_000.0
-    return [(nid, lon0 + math.degrees(x / kx), lat0 + math.degrees(y / ky))
-            for nid, x, y in coords]
+    return [(nid, *_FRAME.to_lonlat(x, y)) for nid, x, y in coords]
 
 
 def build_network(node_coords, links, split_length=50.0):
@@ -29,22 +26,14 @@ def net_xy(network: RoadNetwork, x: float, y: float) -> tuple[float, float]:
     load_network anchors its projection at the node centroid, so raw test
     coordinates are translated; going through lon/lat removes the shift.
     """
-    lon0, lat0 = ORIGIN
-    kx = 6_371_000.0 * math.cos(math.radians(lat0))
-    ky = 6_371_000.0
-    lon = lon0 + math.degrees(x / kx)
-    lat = lat0 + math.degrees(y / ky)
-    return network.projector.to_plane(lon, lat)
+    return network.projector.to_plane(*_FRAME.to_lonlat(x, y))
 
 
 def probe_at(network: RoadNetwork, x: float, y: float, t: float,
              speed: float = 5.0, bearing: float = 0.0) -> Probe:
     """Probe at build_network input coordinates."""
-    lon0, lat0 = ORIGIN
-    kx = 6_371_000.0 * math.cos(math.radians(lat0))
-    ky = 6_371_000.0
-    return Probe(t=t, speed=speed, bearing=bearing,
-                 lon=lon0 + math.degrees(x / kx), lat=lat0 + math.degrees(y / ky))
+    lon, lat = _FRAME.to_lonlat(x, y)
+    return Probe(t=t, speed=speed, bearing=bearing, lon=lon, lat=lat)
 
 
 @pytest.fixture

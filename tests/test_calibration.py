@@ -178,10 +178,6 @@ class TestGroundTruthRoute:
 
 
 class TestDownsample:
-    def _traj(self, net, n=9, dt=15.0):
-        return _chain_trajectory(net, [10.0 + 5.0 * dt * i / 15.0 * 15.0 / dt * dt / 3.0
-                                       for i in range(n)], dt=dt)
-
     def test_identity_at_source_interval(self, chain_network):
         traj = _chain_trajectory(chain_network, [10.0 + 20.0 * i for i in range(6)])
         assert downsample(traj, 15.0).probes == traj.probes
@@ -192,6 +188,13 @@ class TestDownsample:
         assert len(thin.probes) == 3
         assert [p.t for p in thin.probes] == [100.0, 160.0, 220.0]
         assert thin.probes[1] == traj.probes[4]  # attributes untouched
+
+    def test_grid_is_whole_source_intervals(self, chain_network):
+        # 60.00001 s passes as 4 source intervals of 15 s; a grid of 60.00001 s
+        # would drift off the probe times and keep 2 of the 40 probes
+        traj = _chain_trajectory(chain_network, [10.0 + 10.0 * i for i in range(40)])
+        assert len(downsample(traj, 60.0).probes) == 10
+        assert downsample(traj, 60.00001).probes == downsample(traj, 60.0).probes
 
     def test_rejects_non_multiple(self, chain_network):
         traj = _chain_trajectory(chain_network, [10.0 + 20.0 * i for i in range(6)])

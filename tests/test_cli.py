@@ -300,6 +300,16 @@ def _with_second_line_twice(path):
     return b"".join(lines[:2] + lines[1:])
 
 
+def _match_flag_replaced(d, flag):
+    """The fleet's match CSV with the ``matched`` cell of its first matched row set to ``flag``."""
+    lines = (d / "matches.csv").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.split(",")[5] == "1")
+    fields = lines[i].split(",")
+    fields[5] = flag
+    lines[i] = ",".join(fields)
+    return ("\n".join(lines) + "\n").encode()
+
+
 def _states_without_second_interval(d):
     """The fleet's state log without the lines of its second interval."""
     lines = (d / "states.csv").read_text().splitlines()
@@ -327,6 +337,7 @@ _BAD_INPUTS = {
         t, "99", e, ";".join(seg)))),
     "history_repeated_probe": ("history.log", lambda d: _with_second_line_twice(d / "history.log")),
     "pred_repeated_probe": ("matches.csv", lambda d: _with_second_line_twice(d / "matches.csv")),
+    "pred_matched_not_binary": ("matches.csv", lambda d: _match_flag_replaced(d, "yes")),
     "states_repeated_link": ("states.csv", lambda d: _with_second_line_twice(d / "states.csv")),
     "states_truncated": ("states.csv", lambda d: b"".join(
         (d / "states.csv").read_bytes().splitlines(keepends=True)[:-5])),
@@ -357,7 +368,20 @@ class TestBadInputFiles:
         bad.write_text("\n".join(lines) + "\n")
         assert main(_reader_argv(fleet, name, bad)) == 2
         assert f"{bad}:3: " in capsys.readouterr().err
+        # a blank line is skipped but still counted
+        bad.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        assert main(_reader_argv(fleet, name, bad)) == 2
+        assert f"{bad}:4: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ["nodes.csv", "links.csv", "probes.csv", "states.csv",
+                                      "matches.csv"])
+    def test_short_row_names_file_and_line(self, fleet, tmp_path, capsys, name):
+        lines = (fleet / name).read_text().splitlines()
+        lines[2] = ",".join(lines[2].split(",")[:2])  # the cells past them read None
+        bad = tmp_path / name
+        bad.write_text("\n".join(lines) + "\n")
+        assert main(_reader_argv(fleet, name, bad)) == 2
+        assert f"{bad}:3: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("column, value", [(2, "200"), (3, "95")])
     @pytest.mark.parametrize("command", ["match", "match_history", "calibrate", "downsample"])

@@ -613,3 +613,16 @@ def test_probe_validation():
     for lon, lat in ((200.0, 0.0), (-180.5, 0.0), (0.0, 95.0), (0.0, -90.5)):
         with pytest.raises(ValueError, match="out of range"):
             Probe(t=0.0, speed=1.0, bearing=0.0, lon=lon, lat=lat)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(t=math.nan, lon=200.0, speed=80.0), "non-finite fields"),
+    (dict(bearing=math.inf, lat=95.0), "non-finite fields"),
+    (dict(lon=200.0, speed=80.0), "coordinates out of range"),
+    (dict(lat=math.inf, speed=-1.0), "non-finite fields"),
+    (dict(speed=math.nan), "probe speed nan outside"),
+])
+def test_probe_rejection_names_the_first_failed_check(fields, message):
+    # finite fields, then coordinates, then speed: the first check that fails words it
+    with pytest.raises(ValueError, match=message):
+        Probe(**{"t": 0.0, "speed": 1.0, "bearing": 0.0, "lon": 0.0, "lat": 0.0, **fields})

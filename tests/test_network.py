@@ -236,6 +236,27 @@ def test_csv_header_required(tmp_path):
         load_network_csv(str(bad), str(bad), 50.0)
 
 
+@pytest.mark.parametrize("header, tail", [("link_id,from_node,to_node", ""),
+                                          ("link_id,from_node,to_node,length_m,bearing_deg",
+                                           ",,")])
+def test_links_without_length_or_bearing_take_them_from_geometry(tmp_path, header, tail):
+    net = build_network([(0, 0.0, 0.0), (1, 130.0, 0.0), (2, 130.0, 260.0)],
+                        [(0, 0, 1, None, None), (1, 1, 2, None, None), (2, 2, 0, None, None)])
+    nodes_p, links_p, bare_p = (str(tmp_path / name) for name in ("n.csv", "l.csv", "b.csv"))
+    save_network_csv(net, nodes_p, links_p)
+    with open(bare_p, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n" + "".join(f"{lid},{link.from_node},{link.to_node}{tail}\n"
+                                        for lid, link in net.links.items()))
+    explicit = load_network_csv(nodes_p, links_p, 50.0)
+    bare = load_network_csv(nodes_p, bare_p, 50.0)
+    assert bare.link_ids == explicit.link_ids
+    # the node file rounds coordinates to 1e-8 degrees, about a millimetre
+    for lid in explicit.link_ids:
+        assert bare.link(lid).length == pytest.approx(explicit.link(lid).length, abs=5e-3)
+        assert bare.link(lid).bearing == pytest.approx(explicit.link(lid).bearing, abs=1e-3)
+        assert len(bare.link(lid).edges) == len(explicit.link(lid).edges)
+
+
 def _cheapest_by_enumeration(net, src, dst, cost):
     """The least cost of any loopless route from ``src`` to ``dst``, or None."""
     leaving = {}

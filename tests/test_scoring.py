@@ -173,18 +173,15 @@ class TestSelect:
 
     def test_single_candidate(self, chain_network):
         long_path, _ = self._paths(chain_network)
-        idx, best = select_path([(long_path, 12.0)])
-        assert idx == 0 and best is long_path
+        assert select_path([(long_path, 12.0)]) is long_path
 
     def test_tie_breaks_to_shorter(self, chain_network):
         long_path, short_path = self._paths(chain_network)
-        idx, best = select_path([(long_path, 60.0), (short_path, 60.0)])
-        assert best is short_path
+        assert select_path([(long_path, 60.0), (short_path, 60.0)]) is short_path
 
     def test_higher_score_wins_regardless_of_length(self, chain_network):
         long_path, short_path = self._paths(chain_network)
-        _, best = select_path([(long_path, 61.0), (short_path, 60.0)])
-        assert best is long_path
+        assert select_path([(long_path, 61.0), (short_path, 60.0)]) is long_path
 
     def test_empty_set_signals_unmatched(self):
         with pytest.raises(ValueError, match="empty candidate set"):
@@ -197,9 +194,9 @@ class TestSelect:
         finals = [final_score(v, w) for v in sv]
         # positive rescaling of all weights cannot change the argmax
         scaled = [2.5 * f for f in finals]
-        pick1, _ = select_path(list(zip([long_path, short_path], finals)))
-        pick2, _ = select_path(list(zip([long_path, short_path], scaled)))
-        assert pick1 == pick2
+        pick1 = select_path(list(zip([long_path, short_path], finals)))
+        pick2 = select_path(list(zip([long_path, short_path], scaled)))
+        assert pick1 is pick2
 
 
 def test_score_vector_validation():
