@@ -16,7 +16,7 @@ from functools import cached_property
 from heapq import heappop, heappush
 from itertools import count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -31,8 +31,9 @@ EdgeKey = tuple[int, int]
 MIN_EDGE_LENGTH = 1e-3
 
 # A network is refused before it is built when splitting its links would
-# give it more edges than this: at about 520 B an edge, 2,000,000 edges take
-# about 1 GB.
+# give it more edges than this. A loaded network takes about 584 B an edge
+# (tracemalloc of a 3,968-link, 17,920-edge grid split at 50 m, links and
+# nodes included), so 2,000,000 edges take about 1.2 GB.
 MAX_EDGES = 2_000_000
 
 # The spectral predictor's Laplacian and eigenbasis are dense: at about 40 B a
@@ -56,9 +57,8 @@ class Node:
     y: float
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Fixed-length subdivision of a link.
+class Edge(NamedTuple):
+    """Fixed-length subdivision of a link; immutable, equal and hashed by value.
 
     ``from_point``/``to_point`` identify the edge's side nodes: intersection
     node ids at link ends, synthetic ids at internal subdivision points.
@@ -96,50 +96,49 @@ class Link:
     x1: float
     y1: float
     edges: tuple[Edge, ...]
-    edge_keys: tuple[EdgeKey, ...]  # built once; the spatial grid shares these tuples
+    edge_keys: tuple[EdgeKey, ...]  # (id, 1-based index) of each edge, built once
 
 
 class SpatialGrid:
-    """Uniform grid over edge bounding boxes; each cell maps keys to edges.
+    """Uniform grid of edges, each filed once, in the cell of its midpoint.
 
-    Queries merge the cells they cover and return the edges: a superset of
-    the edges within the radius (no false negatives), each once, in first
-    insertion order. Callers filter by true distance.
+    An edge lies within its largest half-extent along either axis of its
+    midpoint, so a query widens its box by the largest half-extent of any
+    filed edge (``reach``, half the split length unless a link's nominal
+    length is shorter than its chord) and concatenates the cells that box
+    covers. The result is a superset of the edges that meet the box (no false
+    negatives), each once, in cell order. Callers filter by true distance.
     """
 
-    def __init__(self, cell_size: float):
+    def __init__(self, cell_size: float, edges: Iterable[Edge]):
         if cell_size <= 0:
             raise ValueError("cell size must be positive")
         self.cell_size = cell_size
-        self._cells: dict[tuple[int, int], dict[EdgeKey, Edge]] = {}
-        self._extent = (0, 0, -1, -1)  # cell range holding every occupied cell
-
-    def _cell_range(self, xmin, ymin, xmax, ymax):
-        c = self.cell_size
-        return (math.floor(xmin / c), math.floor(ymin / c),
-                math.floor(xmax / c), math.floor(ymax / c))
-
-    def insert(self, key: EdgeKey, edge: Edge) -> None:
-        i0, j0, i1, j1 = self._cell_range(min(edge.x0, edge.x1), min(edge.y0, edge.y1),
-                                          max(edge.x0, edge.x1), max(edge.y0, edge.y1))
-        a0, b0, a1, b1 = self._extent
-        if i0 < a0 or j0 < b0 or i1 > a1 or j1 > b1:
-            self._extent = (min(i0, a0), min(j0, b0), max(i1, a1), max(j1, b1))
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                self._cells.setdefault((i, j), {})[key] = edge
+        self._cells: dict[tuple[int, int], list[Edge]] = {}
+        floor, span = math.floor, 0.0  # span: the largest extent along either axis
+        for edge in edges:
+            span = max(span, abs(edge.x1 - edge.x0), abs(edge.y1 - edge.y0))
+            cell = (floor((edge.x0 + edge.x1) / (2.0 * cell_size)),
+                    floor((edge.y0 + edge.y1) / (2.0 * cell_size)))
+            self._cells.setdefault(cell, []).append(edge)
+        # half the largest extent, plus a margin far above the rounding of the
+        # midpoints, whose coordinates stay within about 2e7 m of the origin
+        self.reach = 0.5 * span + 1e-6
+        i, j = zip(*self._cells) if self._cells else ((0,), (0,))
+        self._extent = (min(i), min(j), max(i), max(j))  # cell range of every occupied cell
 
     def query_bbox(self, xmin: float, ymin: float, xmax: float, ymax: float) -> list[Edge]:
         # clip to the occupied cells, so a huge box costs no more than the grid
-        i0, j0, i1, j1 = self._cell_range(xmin, ymin, xmax, ymax)
+        c, r = self.cell_size, self.reach
         a0, b0, a1, b1 = self._extent
-        i0, j0, i1, j1 = max(i0, a0), max(j0, b0), min(i1, a1), min(j1, b1)
-        seen: dict[EdgeKey, Edge] = {}
-        cells = self._cells
+        i0, i1 = max(math.floor((xmin - r) / c), a0), min(math.floor((xmax + r) / c), a1)
+        j0, j1 = max(math.floor((ymin - r) / c), b0), min(math.floor((ymax + r) / c), b1)
+        out: list[Edge] = []
+        get = self._cells.get
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
-                seen.update(cells.get((i, j), ()))
-        return list(seen.values())
+                out += get((i, j), ())
+        return out
 
 
 class RoadNetwork:
@@ -155,10 +154,7 @@ class RoadNetwork:
         self.link_ids: tuple[int, ...] = tuple(sorted(self.links))
         self._link_row = {lid: i for i, lid in enumerate(self.link_ids)}
         grid_cell = max(2.0 * split_length, 100.0)
-        self._grid = SpatialGrid(grid_cell)
-        for link in self.links.values():
-            for key, edge in zip(link.edge_keys, link.edges):
-                self._grid.insert(key, edge)
+        self._grid = SpatialGrid(grid_cell, (e for link in self.links.values() for e in link.edges))
         self._spectrum: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- lookups ----------------------------------------------------------
@@ -176,10 +172,6 @@ class RoadNetwork:
 
     def n_links(self) -> int:
         return len(self.links)
-
-    def iter_edges(self) -> Iterator[Edge]:
-        for lid in self.link_ids:
-            yield from self.links[lid].edges
 
     def edges_near(self, x: float, y: float, radius: float) -> list[Edge]:
         """Superset of the edges within ``radius`` of (x, y)."""
@@ -362,23 +354,21 @@ class _NetworkBuilder:
                                    f"the network more than {MAX_EDGES} edges")
         edge_lengths = _split_link(length, self.split_length)
         self.n_edges += len(edge_lengths)
-        edges = []
+        edges, keys = [], []
         cum = 0.0
         m = len(edge_lengths)
+        dx, dy = b.x - a.x, b.y - a.y
         for idx, el in enumerate(edge_lengths, start=1):
             f0 = cum / length
             f1 = (cum + el) / length if idx < m else 1.0
             from_point = from_node if idx == 1 else ("sub", lid, idx - 1)
             to_point = to_node if idx == m else ("sub", lid, idx)
-            edges.append(Edge(
-                link_id=lid, index=idx, length=el, start_offset=cum,
-                x0=a.x + f0 * (b.x - a.x), y0=a.y + f0 * (b.y - a.y),
-                x1=a.x + f1 * (b.x - a.x), y1=a.y + f1 * (b.y - a.y),
-                from_point=from_point, to_point=to_point,
-            ))
+            edges.append(Edge(lid, idx, el, cum, a.x + f0 * dx, a.y + f0 * dy,
+                              a.x + f1 * dx, a.y + f1 * dy, from_point, to_point))
+            keys.append((lid, idx))
             cum += el
         self.links[lid] = Link(lid, from_node, to_node, length, bearing,
-                               a.x, a.y, b.x, b.y, tuple(edges), tuple(e.key for e in edges))
+                               a.x, a.y, b.x, b.y, tuple(edges), tuple(keys))
 
     def network(self) -> RoadNetwork:
         if not self.nodes:

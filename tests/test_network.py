@@ -39,7 +39,7 @@ def test_edge_limit_is_checked_before_a_link_is_split(monkeypatch):
                         lambda length, step: split.append(length) or split_link(length, step))
     nodes = [(0, 0.0, 0.0), (1, 200.0, 0.0), (2, 400.0, 0.0)]
     links = [(0, 0, 1, 200.0, None), (1, 1, 2, 200.0, None)]
-    assert len(list(build_network(nodes, links, split_length=50.0).iter_edges())) == 8
+    assert len(_edges(build_network(nodes, links, split_length=50.0))) == 8
     split.clear()
     with pytest.raises(InputFormatError, match=r"link 1: split length 40.0 m .* 8 edges"):
         build_network(nodes, links, split_length=40.0)
@@ -157,7 +157,9 @@ class TestSpectral:
         assert calls == []
 
 
-def _random_network(seed, n_nodes, n_links):
+def _random_network(seed, n_nodes, n_links, length_factor=None):
+    """Random diagonal links; with ``length_factor`` each link's nominal
+    length is that share of its chord, so its edges are drawn longer."""
     rng = np.random.default_rng(seed)
     coords = [(i, float(rng.uniform(0, 3000)), float(rng.uniform(0, 3000)))
               for i in range(n_nodes)]
@@ -167,9 +169,16 @@ def _random_network(seed, n_nodes, n_links):
         a, b = rng.integers(0, n_nodes, size=2)
         if a == b:
             continue
-        links.append((lid, int(a), int(b), None, None))
+        length = None if length_factor is None else \
+            length_factor * math.dist(coords[a][1:], coords[b][1:])
+        links.append((lid, int(a), int(b), length, None))
         lid += 1
     return build_network(coords, links)
+
+
+def _edges(net):
+    """Every edge of the network, link by link: the linear scan."""
+    return [e for lid in net.link_ids for e in net.link(lid).edges]
 
 
 def test_spatial_index_returns_superset_of_true_hits():
@@ -180,39 +189,100 @@ def test_spatial_index_returns_superset_of_true_hits():
         y = float(rng.uniform(-200, 3200))
         radius = float(rng.uniform(10, 600))
         got = {e.key for e in net.edges_near(x, y, radius)}
-        for edge in net.iter_edges():  # linear scan oracle
+        for edge in _edges(net):  # linear scan oracle
             proj, _ = net.project_point_to_edge(x, y, edge)
             if proj.distance <= radius:
                 assert edge.key in got
+
+
+def _meets(edge, xmin, ymin, xmax, ymax):
+    return (min(edge.x0, edge.x1) <= xmax and max(edge.x0, edge.x1) >= xmin
+            and min(edge.y0, edge.y1) <= ymax and max(edge.y0, edge.y1) >= ymin)
+
+
+@pytest.mark.parametrize("length_factor", [None, 0.1])
+def test_grid_queries_return_each_linear_scan_hit_once(length_factor):
+    # edges are filed at their midpoints only, so a query must widen its box
+    # by their half-extent: check diagonal links, links drawn ten times their
+    # nominal length, boxes on cell boundaries and boxes that only touch an end;
+    # the network's frame is centred on its nodes, so it spans about ±1,500 m
+    rng = np.random.default_rng(23)
+    for seed in range(4):
+        net = _random_network(seed, n_nodes=12, n_links=25, length_factor=length_factor)
+        edges, c = _edges(net), net._grid.cell_size
+        boxes = []
+        for _ in range(30):
+            i, j = (int(v) for v in rng.integers(-18, 18, size=2))
+            w, h = (int(v) for v in rng.integers(0, 4, size=2))
+            boxes.append((i * c, j * c, (i + w) * c, (j + h) * c))
+            e = edges[int(rng.integers(len(edges)))]
+            w, h = (float(v) for v in rng.uniform(0.0, 60.0, size=2))
+            boxes += [(e.x1, e.y1, e.x1 + w, e.y1 + h), (e.x0 - w, e.y0 - h, e.x0, e.y0)]
+        for box in boxes:
+            got = net.edges_in_bbox(*box)
+            assert len(set(map(id, got))) == len(got)
+            assert {e.key for e in edges if _meets(e, *box)} <= {e.key for e in got}
+        for _ in range(40):
+            x, y = (float(v) for v in rng.uniform(-1800, 1800, size=2))
+            radius = float(rng.uniform(1, 400))
+            got = net.edges_near(x, y, radius)
+            assert len(set(map(id, got))) == len(got)
+            assert {e.key for e in edges
+                    if net.project_point_to_edge(x, y, e)[0].distance <= radius} \
+                <= {e.key for e in got}
 
 
 def test_huge_query_costs_no_more_than_the_grid():
     # a query box far larger than the network walks only the occupied cells,
     # and returns what a box just covering the network returns
     net = _random_network(seed=5, n_nodes=12, n_links=25)
-    xs = [v for e in net.iter_edges() for v in (e.x0, e.x1)]
-    ys = [v for e in net.iter_edges() for v in (e.y0, e.y1)]
+    xs = [v for e in _edges(net) for v in (e.x0, e.x1)]
+    ys = [v for e in _edges(net) for v in (e.y0, e.y1)]
     cover = net.edges_in_bbox(min(xs), min(ys), max(xs), max(ys))
-    assert {e.key for e in cover} == {e.key for e in net.iter_edges()}
+    assert {e.key for e in cover} == {e.key for e in _edges(net)}
     huge = net.edges_near(0.0, 0.0, 1e9)
     assert [e.key for e in huge] == [e.key for e in cover]
     assert net.edges_near(1e9, 1e9, 10.0) == []
 
 
 def test_links_and_the_grid_share_edges_and_keys():
-    # each query hands out the network's own Edge objects, each once, and the
-    # grid's keys are the tuples the links built
+    # each query hands out the network's own Edge objects, each once, and
+    # each link's keys name its own edges
     net = _random_network(seed=5, n_nodes=12, n_links=25)
     for lid in net.link_ids:
         link = net.link(lid)
         assert link.edge_keys == tuple(e.key for e in link.edges)
     everything = net.edges_in_bbox(-1e9, -1e9, 1e9, 1e9)
-    assert sorted(map(id, everything)) == sorted(map(id, net.iter_edges()))
+    assert sorted(map(id, everything)) == sorted(map(id, _edges(net)))
     some = net.edges_in_bbox(500.0, 800.0, 1900.0, 2100.0)
     assert 0 < len(some) < len(everything) and len(set(map(id, some))) == len(some)
     assert all(e is net.edge(e.key) for e in some)
-    for cell in net._grid._cells.values():
-        assert all(key is net.link(key[0]).edge_keys[key[1] - 1] for key in cell)
+
+
+def test_each_edge_is_filed_once_in_the_cell_of_its_midpoint():
+    net = _random_network(seed=5, n_nodes=12, n_links=25, length_factor=0.5)
+    c = net._grid.cell_size
+    filed = []
+    for (i, j), cell in net._grid._cells.items():
+        for e in cell:
+            assert (math.floor((e.x0 + e.x1) / 2 / c), math.floor((e.y0 + e.y1) / 2 / c)) == (i, j)
+        filed += cell
+    assert sorted(map(id, filed)) == sorted(map(id, _edges(net)))
+
+
+def test_edges_are_immutable_and_equal_by_value(tmp_path):
+    net = _random_network(seed=5, n_nodes=12, n_links=25)
+    nodes_p, links_p = str(tmp_path / "nodes.csv"), str(tmp_path / "links.csv")
+    save_network_csv(net, nodes_p, links_p)
+    first, second = (load_network_csv(nodes_p, links_p, 50.0) for _ in range(2))
+    edge = first.link(first.link_ids[0]).edges[0]
+    with pytest.raises(AttributeError):
+        edge.x0 = 0.0
+    a, b = _edges(first), _edges(second)
+    assert all(e is not f for e, f in zip(a, b))
+    assert a == b
+    assert [hash(e) for e in a] == [hash(e) for e in b]
+    assert len(set(a) | set(b)) == len(a)
 
 
 def test_csv_round_trip(tmp_path):

@@ -95,7 +95,7 @@ def _candidates_every_edge(x, y, bearing, net, radius):
     side-node checks pass.
     """
     best = {}
-    for edge in net.iter_edges():
+    for edge in (e for lid in net.link_ids for e in net.link(lid).edges):
         proj, offset = net.project_point_to_edge(x, y, edge)
         cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
         cur = best.get(edge.link_id)
@@ -179,7 +179,8 @@ class TestSubgraph:
         region = ellipse_region(net_xy(chain_network, -500.0, 0.0),
                                 net_xy(chain_network, 1100.0, 0.0), 50.0, 50.0, 600.0)
         sub = build_subgraph(chain_network, region, [], [])
-        assert sub.edge_keys == frozenset(e.key for e in chain_network.iter_edges())
+        assert sub.edge_keys == frozenset(k for lid in chain_network.link_ids
+                                          for k in chain_network.link(lid).edge_keys)
         assert sub.usable_links == frozenset(chain_network.link_ids)
 
     def test_bent_chain_breaks_when_middle_is_outside(self):
@@ -334,7 +335,7 @@ def _trim_every_edge(net, region, starts, ends):
     """The build_subgraph rule applied to every edge of the network."""
     points = {p for c in starts + ends for p in (c.edge.from_point, c.edge.to_point)}
     keys = set()
-    for edge in net.iter_edges():
+    for edge in (e for lid in net.link_ids for e in net.link(lid).edges):
         in_from = region.contains(edge.x0, edge.y0)
         in_to = region.contains(edge.x1, edge.y1)
         if (in_from and in_to) or (in_from and edge.from_point in points) \
