@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .history import Trajectory
-from .network import EdgeKey, InputFormatError, RoadNetwork, _read_csv, _write_csv
+from .network import EdgeKey, InputFormatError, RoadNetwork, _write_csv
 from .path_search import CandidatePath, SubGraph, find_candidate_edges, k_shortest_paths
 from .scoring import FusionWeights
 
@@ -228,11 +228,6 @@ def write_samples_csv(path: str, samples: Sequence[CalibrationSample]) -> None:
     _write_csv(path, ("S_P", "S_C", "S_A", "Y"),
                ([f"{s.kinematic:.9f}", f"{s.habit:.9f}", f"{s.traffic:.9f}", f"{s.accuracy:.9f}"]
                 for s in samples))
-
-
-def read_samples_csv(path: str) -> list[CalibrationSample]:
-    return list(_read_csv(path, ("S_P", "S_C", "S_A", "Y"), lambda p, c, a, y: CalibrationSample(
-        float(p), float(c), float(a), float(y))))
 
 
 def write_weights_json(path: str, fit: WeightFit) -> None:

@@ -388,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report")
     p.add_argument("--geojson-dir", dest="geojson_dir")
     p.add_argument("--debug-dir", dest="debug_dir",
-                   help="dump per-segment subgraph and candidate paths as GeoJSON")
+                   help="dump per-segment search graph and candidate paths as GeoJSON")
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_match)
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heappop, heappush
 from typing import Container, Iterable, Sequence
 
@@ -145,31 +144,17 @@ def ellipse_region(p_prev: tuple[float, float], p_cur: tuple[float, float],
 
 @dataclass(frozen=True)
 class SubGraph:
-    """Links of the network usable between two probes.
-
-    ``kept`` holds the kept edges of the candidate links, which is all that
-    ``segment_usable`` reads besides ``usable_links``. ``edge_keys``, every
-    kept edge, is worked out on demand from ``region`` and
-    ``candidate_points``; only the debug dump and the tests read it.
-    """
+    """What the path search may pass between two probes: the links usable
+    end to end, and ``kept``, the kept edges of the candidate links, which
+    ``segment_usable`` reads for the partial traversals at either end."""
 
     network: RoadNetwork
     usable_links: frozenset[int]
     kept: frozenset[EdgeKey] = frozenset()
-    region: EllipseRegion | None = None     # None: just the usable links
-    candidate_points: frozenset = frozenset()
 
     @classmethod
     def whole(cls, network: RoadNetwork) -> "SubGraph":
         return cls(network, frozenset(network.link_ids))
-
-    @cached_property
-    def edge_keys(self) -> frozenset[EdgeKey]:
-        if self.region is None:
-            return frozenset(k for lid in self.usable_links
-                             for k in self.network.link(lid).edge_keys)
-        return frozenset(e.key for e in self.network.edges_in_bbox(*self.region.bbox())
-                         if _edge_kept(self.region, self.candidate_points, e))
 
     def segment_usable(self, link_id: int, first_index: int, last_index: int) -> bool:
         """Whether edges ``first_index``..``last_index`` of a usable or a
@@ -180,7 +165,8 @@ class SubGraph:
 
 def _edge_kept(region: EllipseRegion, points: Container, edge: Edge) -> bool:
     """The per-edge rule: both side points inside, or one side point inside
-    that is a candidate edge's side point."""
+    that is a candidate edge's side point. ``build_subgraph`` applies it edge
+    by edge to the candidate links only."""
     in_from = region.contains(edge.x0, edge.y0)
     in_to = region.contains(edge.x1, edge.y1)
     return (in_from and (in_to or edge.from_point in points)) or \
@@ -198,9 +184,11 @@ def build_subgraph(network: RoadNetwork, region: EllipseRegion,
     candidate edge that comes down to its end nodes: it is usable when both
     are inside, or when it has one edge and an inside end node is a
     candidate's side point. Each end node is tested once per call. A
-    candidate link applies the edge rule to its own edges. Only the links
-    that own an edge in the region's bbox are visited, so the cost follows
-    the bbox, not the size of the network.
+    candidate link applies the edge rule to its own edges, since the search
+    may pass part of it; any other link is passed whole or not at all, so
+    the kept edges of an unusable one are not recorded. Only the links that
+    own an edge in the region's bbox are visited, so the cost follows the
+    bbox, not the size of the network.
     """
     points, candidate_links = set(), set()
     for cand in (*start_candidates, *end_candidates):
@@ -226,7 +214,7 @@ def build_subgraph(network: RoadNetwork, region: EllipseRegion,
         if (in_a and in_b) or (len(link.edges) == 1 and ((in_a and a in points)
                                                          or (in_b and b in points))):
             usable.append(lid)
-    return SubGraph(network, frozenset(usable), frozenset(kept), region, frozenset(points))
+    return SubGraph(network, frozenset(usable), frozenset(kept))
 
 
 @dataclass(frozen=True)
@@ -271,6 +259,7 @@ class _SearchGraph:
                  start_candidates: Sequence[CandidateEdge],
                  end_candidates: Sequence[CandidateEdge]):
         self.network = net = subgraph.network
+        self.arc_src: list[object] = []
         self.arc_dst: list[object] = []
         self.arc_weight: list[float] = []
         self.arc_payload: list[object] = []
@@ -294,6 +283,7 @@ class _SearchGraph:
 
     def _add_arc(self, src, dst, weight, payload) -> None:
         arc = len(self.arc_dst)
+        self.arc_src.append(src)
         self.arc_dst.append(dst)
         self.arc_weight.append(weight)
         self.arc_payload.append(payload)
@@ -301,66 +291,23 @@ class _SearchGraph:
 
     def dijkstra(self, source, removed_arcs: Container[int], removed_nodes: set) -> tuple[float, list[int]] | None:
         """Cheapest arc path from ``source`` to the sink, or None."""
-        heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
-        parent: dict[object, tuple[object, int]] = {}
-        dist = {source: 0.0}
-        done = set()
-        counter = 1
-        adj = self.adj
-        arc_dst = self.arc_dst
-        arc_weight = self.arc_weight
-        while heap:
-            d, _, node = heappop(heap)
-            if node in done:
-                continue
-            if node == _SNK:
-                arcs: list[int] = []
-                cur = node
-                while cur != source:
-                    prev, arc = parent[cur]
-                    arcs.append(arc)
-                    cur = prev
-                arcs.reverse()
-                return d, arcs
-            done.add(node)
-            for arc in adj.get(node, ()):
-                if arc in removed_arcs:
-                    continue
-                dst = arc_dst[arc]
-                if dst in removed_nodes or dst in done:
-                    continue
-                nd = d + arc_weight[arc]
-                if nd < dist.get(dst, math.inf):
-                    dist[dst] = nd
-                    parent[dst] = (node, arc)
-                    heappush(heap, (nd, counter, dst))
-                    counter += 1
-        return None
+        cost, via = _dijkstra(self.adj, self.arc_dst, self.arc_weight, source, _SNK,
+                              removed_arcs, removed_nodes)
+        if _SNK not in cost:
+            return None
+        arcs = [via[_SNK]]
+        while self.arc_src[arcs[-1]] != source:
+            arcs.append(via[self.arc_src[arcs[-1]]])
+        return cost[_SNK], arcs[::-1]
 
     def sink_tree(self) -> tuple[dict[object, float], dict[object, int]]:
         """Per node that reaches the sink: its cost to the sink and the first
         arc of a cheapest way there (one Dijkstra over the reversed arcs)."""
-        into: dict[object, list[tuple[object, int]]] = {}
-        for src, arcs in self.adj.items():
+        into: dict[object, list[int]] = {}
+        for arcs in self.adj.values():
             for arc in arcs:
-                into.setdefault(self.arc_dst[arc], []).append((src, arc))
-        heap: list[tuple[float, int, object]] = [(0.0, 0, _SNK)]
-        cost: dict[object, float] = {_SNK: 0.0}
-        toward: dict[object, int] = {}
-        counter = 1
-        arc_weight = self.arc_weight
-        while heap:
-            d, _, node = heappop(heap)
-            if d > cost[node]:
-                continue  # a stale entry: the node was settled cheaper
-            for src, arc in into.get(node, ()):
-                nd = d + arc_weight[arc]
-                if nd < cost.get(src, math.inf):
-                    cost[src] = nd
-                    toward[src] = arc
-                    heappush(heap, (nd, counter, src))
-                    counter += 1
-        return cost, toward
+                into.setdefault(self.arc_dst[arc], []).append(arc)
+        return _dijkstra(into, self.arc_src, self.arc_weight, _SNK)
 
     def to_candidate_path(self, arcs: Sequence[int]) -> CandidatePath:
         """The first arc carries the start candidate and the last the end
@@ -381,6 +328,48 @@ class _SearchGraph:
             edges = tuple(keys)
         length = math.fsum(self.arc_weight[a] for a in arcs)
         return CandidatePath(start, end, link_ids, edges, length)
+
+
+def _dijkstra(adj: dict[object, list[int]], arc_end: Sequence[object],
+              arc_weight: Sequence[float], source, target=None,
+              removed_arcs: Container[int] = (), removed_nodes: Container = ()
+              ) -> tuple[dict[object, float], dict[object, int]]:
+    """Cheapest cost from ``source`` to each node it reaches along the arcs
+    of ``adj`` (node -> arc ids, each arc ending at ``arc_end[arc]``), and the
+    arc each node is reached by. It stops once ``target`` is settled, when
+    the costs of nodes not yet settled are only upper bounds.
+
+    A cost drops only for a strictly cheaper way, and equal heap keys pop in
+    push order. A popped entry dearer than its node's cost is stale and is
+    skipped, in place of a set of settled nodes. That is exact because every
+    arc weight is non-negative, except possibly a start arc out of ``_SRC``
+    that is negative by an ulp; no arc enters ``_SRC``, so forwards such an
+    arc only leaves the source, and backwards it only reaches a node with no
+    arc on.
+    """
+    heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
+    cost: dict[object, float] = {source: 0.0}
+    via: dict[object, int] = {}
+    counter = 1
+    while heap:
+        d, _, node = heappop(heap)
+        if d > cost[node]:
+            continue  # a stale entry: the node was settled cheaper
+        if node == target:
+            break
+        for arc in adj.get(node, ()):
+            if arc in removed_arcs:
+                continue
+            nxt = arc_end[arc]
+            if nxt in removed_nodes:
+                continue
+            nd = d + arc_weight[arc]
+            if nd < cost.get(nxt, math.inf):
+                cost[nxt] = nd
+                via[nxt] = arc
+                heappush(heap, (nd, counter, nxt))
+                counter += 1
+    return cost, via
 
 
 def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]]:
@@ -505,8 +494,11 @@ def line_feature(network: RoadNetwork, keys: Sequence[EdgeKey], properties: dict
 
 
 def subgraph_geojson(subgraph: SubGraph) -> dict:
-    features = [line_feature(subgraph.network, [key], {"link": key[0], "edge": key[1]})
-                for key in sorted(subgraph.edge_keys)]
+    """Every edge the search may pass, once: the usable links' and ``kept``."""
+    net = subgraph.network
+    keys = subgraph.kept.union(*(net.link(lid).edge_keys for lid in subgraph.usable_links))
+    features = [line_feature(net, [key], {"link": key[0], "edge": key[1]})
+                for key in sorted(keys)]
     return {"type": "FeatureCollection", "features": features}
 
 

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import InputFormatError, RoadNetwork, _read_csv
+from .network import InputFormatError, RoadNetwork, _read_csv, _write_csv
 
 _LOSS_TOL = 1e-12  # line-search descent tolerance
 _PATIENCE = 4      # epochs without validation improvement that make a plateau
@@ -359,11 +359,9 @@ def _full_batch_epoch(model: SpectralPredictor, z: np.ndarray,
 # -- state log I/O -------------------------------------------------------------
 
 def write_states_csv(path: str, network: RoadNetwork, states: Sequence[StateVector]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("interval_j,link_id,X\n")
-        for state in states:
-            for lid in network.link_ids:
-                fh.write(f"{state.interval},{lid},{state.values[network.link_row(lid)]:.12g}\n")
+    _write_csv(path, ("interval_j", "link_id", "X"),
+               ((state.interval, lid, f"{state.values[network.link_row(lid)]:.12g}")
+                for state in states for lid in network.link_ids))
 
 
 def read_states_csv(path: str, network: RoadNetwork) -> list[StateVector]:

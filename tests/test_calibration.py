@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from mapfuse.calibration import (CalibrationSample, )
 from mapfuse.calibration import (downsample, fit_weights, ground_truth_paths, path_accuracy,
-                                 read_samples_csv, read_weights_json, write_samples_csv,
+                                 read_weights_json, write_samples_csv,
                                  write_weights_json)
 from mapfuse.history import Probe, Trajectory
 from mapfuse.network import InputFormatError
@@ -299,12 +300,15 @@ class TestFitWeights:
         assert fit.rounded.traffic == pytest.approx(0.3)
 
 
-def test_samples_csv_round_trip(tmp_path):
-    samples = [CalibrationSample(0.1, 0.2, 0.3, 0.4), CalibrationSample(0.9, 0.8, 0.7, 1.0)]
+def test_samples_csv_header_and_nine_decimals(tmp_path):
+    samples = [CalibrationSample(0.1, 0.2, 0.3, 0.4), CalibrationSample(1 / 3, 2 / 3, 0.0, 1.0)]
     path = tmp_path / "samples.csv"
     write_samples_csv(str(path), samples)
-    again = read_samples_csv(str(path))
-    assert again == samples
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    assert rows == [["S_P", "S_C", "S_A", "Y"],
+                    ["0.100000000", "0.200000000", "0.300000000", "0.400000000"],
+                    ["0.333333333", "0.666666667", "0.000000000", "1.000000000"]]
 
 
 def test_weights_json_round_trip(tmp_path):

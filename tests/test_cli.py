@@ -89,12 +89,19 @@ class TestEndToEnd:
                "--states-out", str(workdir / "states.csv"),
                "--history-log-out", str(workdir / "history.log"),
                "--report", str(workdir / "report.json"),
-               "--geojson-dir", str(workdir / "geo"))
+               "--geojson-dir", str(workdir / "geo"),
+               "--debug-dir", str(workdir / "debug"))
         assert (workdir / "states.csv").exists()
         assert (workdir / "history.log").exists()
         report = json.loads((workdir / "report.json").read_text())
         assert report["n_trajectories"] > 0
         assert any((workdir / "geo").iterdir())
+        # one search-graph and one candidate-path file per segment
+        dumps = sorted(f.name for f in (workdir / "debug").iterdir())
+        graphs = [n for n in dumps if n.endswith("_subgraph.geojson")]
+        assert graphs and len(dumps) == 2 * len(graphs)
+        assert all(n.replace("_subgraph", "_paths") in dumps for n in graphs)
+        assert json.loads((workdir / "debug" / graphs[0]).read_text())["features"]
         # warm start from the log and the same probes
         _match(workdir, "m2.csv",
                "--history-log", str(workdir / "history.log"),

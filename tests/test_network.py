@@ -6,7 +6,7 @@ import pytest
 from mapfuse import network
 from mapfuse.network import InputFormatError, load_network, load_network_csv, save_network_csv
 
-from conftest import build_network, random_digraph
+from conftest import build_network, net_xy, random_digraph
 
 
 def test_split_lengths_follow_ceiling_rule():
@@ -185,8 +185,9 @@ def test_spatial_index_returns_superset_of_true_hits():
     rng = np.random.default_rng(11)
     net = _random_network(seed=5, n_nodes=12, n_links=25)
     for _ in range(40):
-        x = float(rng.uniform(-200, 3200))
-        y = float(rng.uniform(-200, 3200))
+        # the network's nodes were drawn from [0, 3000] before its frame was
+        # centred on them
+        x, y = net_xy(net, float(rng.uniform(-200, 3200)), float(rng.uniform(-200, 3200)))
         radius = float(rng.uniform(10, 600))
         got = {e.key for e in net.edges_near(x, y, radius)}
         for edge in _edges(net):  # linear scan oracle

@@ -179,22 +179,21 @@ class TestSubgraph:
         region = ellipse_region(net_xy(chain_network, -500.0, 0.0),
                                 net_xy(chain_network, 1100.0, 0.0), 50.0, 50.0, 600.0)
         sub = build_subgraph(chain_network, region, [], [])
-        assert sub.edge_keys == frozenset(k for lid in chain_network.link_ids
-                                          for k in chain_network.link(lid).edge_keys)
         assert sub.usable_links == frozenset(chain_network.link_ids)
+        assert _drawn(sub) == {k for lid in chain_network.link_ids
+                               for k in chain_network.link(lid).edge_keys}
 
     def test_bent_chain_breaks_when_middle_is_outside(self):
-        # U-shaped chain; a tight ellipse around the tips drops the whole bottom
+        # U-shaped chain; a tight ellipse around the tips drops the whole bottom.
+        # The legs' tops pass the edge rule, but the search cannot pass part
+        # of a link that holds no candidate, so nothing is left
         nodes = [(0, 0.0, 400.0), (1, 0.0, 0.0), (2, 400.0, 0.0), (3, 400.0, 400.0)]
         links = [(0, 0, 1, None, None), (1, 1, 2, None, None), (2, 2, 3, None, None)]
         net = build_network(nodes, links)
         region = ellipse_region(net_xy(net, 0.0, 400.0), net_xy(net, 400.0, 400.0),
                                 0.0, 0.0, 60.0)
         sub = build_subgraph(net, region, [], [])
-        assert not any(key[0] == 1 for key in sub.edge_keys)   # bottom gone entirely
-        assert any(key[0] == 0 for key in sub.edge_keys)       # leg tops survive
-        assert any(key[0] == 2 for key in sub.edge_keys)
-        assert 1 not in sub.usable_links
+        assert sub.usable_links == frozenset() and sub.kept == frozenset()
 
     def test_candidate_adjacent_edges_survive(self, chain_network):
         # the ellipse covers a single subdivision point at x=250; only edges
@@ -204,9 +203,9 @@ class TestSubgraph:
                                 net_xy(chain_network, 252.0, 0.0), 0.1, 0.1, 300.0)
         sub_with = build_subgraph(chain_network, region, [cand], [])
         sub_without = build_subgraph(chain_network, region, [], [])
-        assert sub_without.edge_keys < sub_with.edge_keys
-        assert {(1, 1), (1, 2)} <= sub_with.edge_keys
-        assert (1, 1) not in sub_without.edge_keys
+        assert _drawn(sub_without) < _drawn(sub_with)
+        assert {(1, 1), (1, 2)} <= sub_with.kept and sub_with.segment_usable(1, 1, 2)
+        assert not sub_without.segment_usable(1, 1, 1)
 
     def test_reads_only_links_with_an_edge_in_the_bbox(self, monkeypatch):
         # a grid plus a far second component: the trim must not look at the
@@ -241,9 +240,10 @@ class TestSubgraph:
             ends = ends[:int(rng.integers(0, len(ends) + 1))]
             sub = build_subgraph(net, region, starts, ends)
             keys, usable = _trim_every_edge(net, region, starts, ends)
-            assert sub.edge_keys == keys
+            candidate_links = {c.edge.link_id for c in starts + ends}
+            assert sub.kept == {key for key in keys if key[0] in candidate_links}
             assert sub.usable_links == usable
-            edges = [net.edge(key) for key in keys]
+            edges = [net.edge(key) for key in sub.kept]
             exceptions += sum(1 for e in edges if not (region.contains(e.x0, e.y0)
                                                        and region.contains(e.x1, e.y1)))
         assert exceptions > 0
@@ -273,7 +273,8 @@ class TestSubgraph:
     def test_single_edge_link_usable_through_a_candidate_node(self):
         # node 1 alone is inside. The one-edge link 0 -> 1 is usable because
         # node 1 is the candidate's side point; the two-edge link 3 -> 1 is not,
-        # though its last edge stays, and the candidate link keeps its first edge.
+        # though its last edge passes the edge rule, and the candidate link
+        # keeps its first edge.
         nodes = [(0, 0.0, 0.0), (1, 100.0, 0.0), (2, 400.0, 0.0), (3, 100.0, 300.0)]
         links = [(0, 0, 1, None, None), (1, 1, 2, None, None), (2, 3, 1, None, None)]
         net = build_network(nodes, links, split_length=150.0)
@@ -283,7 +284,8 @@ class TestSubgraph:
         sub = build_subgraph(net, region, [cand], [])
         assert sub.usable_links == {0}
         assert sub.segment_usable(1, 1, 1) and not sub.segment_usable(1, 1, 2)
-        assert sub.edge_keys == {(0, 1), (1, 1), (2, 2)}
+        assert sub.kept == {(1, 1)} and _drawn(sub) == {(0, 1), (1, 1)}
+        assert (2, 2) in _trim_every_edge(net, region, [cand], [])[0]
         assert build_subgraph(net, region, [], []).usable_links == frozenset()
 
     def test_one_bbox_query_and_one_containment_test_per_node(self, monkeypatch):
@@ -310,13 +312,23 @@ class TestSubgraph:
         assert sub.usable_links == _trim_every_edge(net, region, starts, ends)[1]
 
     def test_debug_dump_draws_the_rule_on_every_edge(self):
+        # the dump draws the search graph: the rule's edges on the usable and
+        # the candidate links, each once
         rng = np.random.default_rng(13)
         for _ in range(20):
             net, region, starts, ends = _random_trim_instance(rng)
             features = subgraph_geojson(build_subgraph(net, region, starts, ends))["features"]
             drawn = [(f["properties"]["link"], f["properties"]["edge"]) for f in features]
             assert len(drawn) == len(set(drawn))
-            assert set(drawn) == _trim_every_edge(net, region, starts, ends)[0]
+            keys, usable = _trim_every_edge(net, region, starts, ends)
+            links = usable | {c.edge.link_id for c in starts + ends}
+            assert set(drawn) == {key for key in keys if key[0] in links}
+
+
+def _drawn(sub):
+    """The (link, edge) keys the subgraph's debug dump draws."""
+    return {(f["properties"]["link"], f["properties"]["edge"])
+            for f in subgraph_geojson(sub)["features"]}
 
 
 def _random_trim_instance(rng):
@@ -404,6 +416,26 @@ class TestKShortest:
         for budget in range(1, 13):
             assert_same_paths(k_shortest_paths(sub, starts, ends, budget), full[:budget])
 
+    def test_sink_tree_ties_follow_push_order(self):
+        # on the uniform grid most nodes have several cheapest ways to the two
+        # end links. A cost drops only for a strictly cheaper way, equal heap
+        # keys pop in push order, and the arcs into a node are walked source by
+        # source, in the order the sources were first given arcs
+        net = _grid_4x4()
+        starts = [carried_candidate(net, _westmost_link(net), 30.0)]
+        ends = [carried_candidate(net, _eastmost_link(net), 60.0),
+                carried_candidate(net, _southeast_link(net), 60.0)]
+        graph = path_search._SearchGraph(SubGraph.whole(net), starts, ends)
+        cost, toward = graph.sink_tree()
+        snk, src = path_search._SNK, path_search._SRC
+        assert {node: graph.arc_dst[arc] for node, arc in toward.items()} == {
+            11: snk, 14: snk, 7: 11, 10: 11, 15: 11, 13: 14, 3: 7, 6: 7, 9: 10, 12: 13,
+            2: 3, 5: 6, 8: 9, 1: 2, 4: 5, 0: 1, src: 1}
+        steps = {nid: min(abs(nid % 4 - 3) + abs(nid // 4 - 2),
+                          abs(nid % 4 - 2) + abs(nid // 4 - 3)) for nid in range(16)}
+        assert cost == {snk: 0.0, src: 1530.0,
+                        **{nid: 60.0 + 300.0 * n for nid, n in steps.items()}}
+
     def test_random_graphs_match_brute_force(self):
         rng = np.random.default_rng(42)
         for trial in range(12):
@@ -474,17 +506,26 @@ class TestKShortest:
 
     def test_paths_are_loopless_and_inside_subgraph(self):
         rng = np.random.default_rng(3)
+        trimmed_paths = 0
         for _ in range(6):
-            net, sub, starts, ends = _random_instance(rng)
-            for path in k_shortest_paths(sub, starts, ends, 10):
-                if path.n_links > 1:
-                    for key in path.edges:
-                        assert key in sub.edge_keys
-                nodes = [net.link(path.link_ids[0]).to_node]
-                for lid in path.link_ids[1:]:
-                    nodes.append(net.link(lid).to_node)
-                interior_nodes = nodes[:-1]
-                assert len(set(interior_nodes)) == len(interior_nodes)
+            net, whole, starts, ends = _random_instance(rng)
+            # foci at a start and an end projection, wide enough to keep some paths
+            region = ellipse_region((starts[0].x, starts[0].y), (ends[0].x, ends[0].y),
+                                    float(rng.uniform(20.0, 60.0)), 0.0, 60.0)
+            trimmed = build_subgraph(net, region, starts, ends)
+            for sub in (whole, trimmed):
+                for path in k_shortest_paths(sub, starts, ends, 10):
+                    if path.n_links > 1:  # a same-link traversal needs no subgraph
+                        trimmed_paths += sub is trimmed
+                        for lid in path.link_ids:
+                            passed = [i for link_id, i in path.edges if link_id == lid]
+                            assert sub.segment_usable(lid, min(passed), max(passed))
+                    nodes = [net.link(path.link_ids[0]).to_node]
+                    for lid in path.link_ids[1:]:
+                        nodes.append(net.link(lid).to_node)
+                    interior_nodes = nodes[:-1]
+                    assert len(set(interior_nodes)) == len(interior_nodes)
+        assert trimmed_paths > 0
 
     def test_lengths_nondecreasing(self):
         rng = np.random.default_rng(5)

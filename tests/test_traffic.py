@@ -369,6 +369,7 @@ def test_states_csv_round_trip(tmp_path):
     states = [aggregate_interval(net, [0, 1], 4), aggregate_interval(net, [2], 5)]
     path = tmp_path / "states.csv"
     write_states_csv(str(path), net, states)
+    assert path.read_bytes().startswith(b"interval_j,link_id,X\r\n4,0,")  # as every CSV written
     again = read_states_csv(str(path), net)
     assert [s.interval for s in again] == [4, 5]
     for a, b in zip(states, again):
