@@ -240,6 +240,8 @@ def read_weights_json(path: str) -> FusionWeights:
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh)
+        if not isinstance(payload, dict):
+            raise ValueError("expected a JSON object of weights")
         if not math.isfinite(float(payload.get("bias", 0.0))):
             raise ValueError("bias must be finite")
         return FusionWeights(float(payload["wp"]), float(payload["wc"]), float(payload["wa"]))

@@ -110,10 +110,11 @@ def _input_errors(prefix: str = ""):
 
 
 def _cast(settings: dict, key: str):
-    """A setting cast to the type of its default; the default if not given."""
+    """A setting cast from its text to the type of its default, as a flag's is, so
+    a config value passes only where the flag would; the default if not given."""
     default = _default(key)
     try:
-        return type(default)(settings.get(key, default))
+        return type(default)(str(settings.get(key, default)))
     except (TypeError, ValueError, OverflowError) as exc:
         raise InputFormatError(f"pipeline setting {key}: {exc}") from exc
 

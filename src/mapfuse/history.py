@@ -98,6 +98,19 @@ class MatchRecord:
     t0: float
     t_end: float
 
+    @classmethod
+    def for_trip(cls, trajectory: Trajectory, matched_edges: Iterable[EdgeKey | None],
+                 paths: Iterable[tuple[EdgeKey, ...] | None],
+                 trajectory_id: str | None = None) -> MatchRecord:
+        """A trajectory's record: its trip fields, and the given match per probe.
+        ``trajectory_id`` defaults to the trajectory's own id."""
+        start, end = trajectory.start, trajectory.end
+        return cls(trajectory_id=trajectory.id if trajectory_id is None else trajectory_id,
+                   vehicle=trajectory.vehicle, probe_times=tuple(p.t for p in trajectory.probes),
+                   matched_edges=tuple(matched_edges), paths=tuple(paths),
+                   start_lonlat=(start.lon, start.lat), end_lonlat=(end.lon, end.lat),
+                   t0=trajectory.t0, t_end=trajectory.t_end)
+
     def matched_locations(self) -> list[tuple[float, int]]:
         """(timestamp, link id) for every matched probe."""
         return [(t, edge[0]) for t, edge in zip(self.probe_times, self.matched_edges)
@@ -376,14 +389,9 @@ class HistoryStore:
                 raise InputFormatError(f"{path}: trajectory {tid}: probe index {bad} is "
                                        f"outside its {n} probes")
             try:
-                self.record_match(MatchRecord(
-                    trajectory_id=prefix + tid, vehicle=traj.vehicle,
-                    probe_times=tuple(p.t for p in traj.probes),
-                    matched_edges=tuple(map(matched.get, range(n))),
-                    paths=tuple(map(paths.get, range(n))),
-                    start_lonlat=(traj.start.lon, traj.start.lat),
-                    end_lonlat=(traj.end.lon, traj.end.lat),
-                    t0=traj.t0, t_end=traj.t_end), connected)
+                self.record_match(MatchRecord.for_trip(
+                    traj, map(matched.get, range(n)), map(paths.get, range(n)), prefix + tid),
+                    connected)
             except ValueError as exc:
                 raise InputFormatError(f"{path}: trajectory {tid}: {exc}") from exc
             loaded += 1

@@ -300,13 +300,7 @@ def match_record(trajectory: Trajectory,
         matched[i] = outcome.path.end_edge
         if matched[i - 1] is None:  # the first segment after a gap also matches its start
             matched[i - 1] = outcome.path.start.edge.key
-    return MatchRecord(
-        trajectory_id=trajectory.id, vehicle=trajectory.vehicle,
-        probe_times=tuple(p.t for p in probes),
-        matched_edges=tuple(matched), paths=tuple(paths),
-        start_lonlat=(probes[0].lon, probes[0].lat),
-        end_lonlat=(probes[-1].lon, probes[-1].lat),
-        t0=trajectory.t0, t_end=trajectory.t_end)
+    return MatchRecord.for_trip(trajectory, matched, paths)
 
 
 # -- output files -------------------------------------------------------------

@@ -3,7 +3,8 @@
 Links are straight directed segments between intersection nodes. Every link
 is cut into fixed-length edges, which are the unit of probe projection and
 of historical usage counting. Routes between nodes, under a caller's cost
-per link, make the synthetic fleets and the calibration ground truth. The
+per link, make the synthetic fleets and the calibration ground truth; they
+run the program's one Dijkstra loop, which the path search shares. The
 link graph's Laplacian (two links are adjacent when they share a node) and
 its eigendecomposition feed the traffic predictor.
 """
@@ -14,9 +15,8 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from itertools import count
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
+from typing import Callable, Container, Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -192,43 +192,31 @@ class RoadNetwork:
     # -- routes -------------------------------------------------------------
 
     @cached_property
-    def out_links(self) -> dict[int, list[Link]]:
-        """The links leaving each node, by link id; built on first use."""
-        out: dict[int, list[Link]] = {}
+    def route_tables(self) -> tuple[dict[int, list[int]], dict[int, int]]:
+        """The ids of the links leaving each node, in id order, and the
+        to-node of each link: the arcs of :meth:`route`, built on first use."""
+        out: dict[int, list[int]] = {}
         for lid in self.link_ids:
-            out.setdefault(self.links[lid].from_node, []).append(self.links[lid])
-        return out
+            out.setdefault(self.links[lid].from_node, []).append(lid)
+        return out, {lid: link.to_node for lid, link in self.links.items()}
 
     def route(self, src: int, dst: int, cost: Callable[[Link], float]) -> list[int] | None:
         """Link ids of a cheapest route from node ``src`` to node ``dst``, or None.
 
-        A forward Dijkstra under a non-negative ``cost`` per link that stops
-        once ``dst`` is settled, so its work follows the route, not the
-        network. Ties go to the route settled first: out-links are scanned
-        by link id, a cost drops only for a strictly cheaper way, and equal
-        heap keys pop in push order.
+        :func:`dijkstra` over the links, under a non-negative ``cost`` per
+        link asked only of the links it scans, stopping once ``dst`` is
+        settled: its work follows the route, not the network. Ties go to the
+        route settled first, with out-links scanned by link id.
         """
-        dist = {src: 0.0}
-        parent: dict[int, Link] = {}
-        heap = [(0.0, 0, src)]
-        pushes = count(1)
-        while heap:
-            d, _, node = heappop(heap)
-            if d > dist[node]:
-                continue  # a stale entry: the node was settled cheaper
-            if node == dst:
-                links = []
-                while node != src:
-                    links.append(parent[node].id)
-                    node = parent[node].from_node
-                return links[::-1]
-            for link in self.out_links.get(node, ()):
-                nd = d + cost(link)
-                if nd < dist.get(link.to_node, math.inf):
-                    dist[link.to_node] = nd
-                    parent[link.to_node] = link
-                    heappush(heap, (nd, next(pushes), link.to_node))
-        return None
+        out, to_node = self.route_tables
+        dist, via = dijkstra(out, to_node, lambda lid: cost(self.links[lid]), src, dst)
+        if dst not in dist:
+            return None
+        path, node = [], dst
+        while node != src:
+            path.append(via[node])
+            node = self.links[via[node]].from_node
+        return path[::-1]
 
     # -- spectral structures ----------------------------------------------
 
@@ -267,6 +255,47 @@ class RoadNetwork:
             lam = raw / top if top > 0 else raw
             self._spectrum = (u, lam)
         return self._spectrum
+
+
+def dijkstra(adj: Mapping[object, Sequence[int]], arc_end: Sequence | Mapping[int, object],
+             weight: Callable[[int], float], source, target=None,
+             removed_arcs: Container[int] = (), removed_nodes: Container = ()
+             ) -> tuple[dict[object, float], dict[object, int]]:
+    """Cheapest cost from ``source`` to each node it reaches along the arcs
+    of ``adj`` (node -> arc ids, each arc ending at ``arc_end[arc]`` and
+    weighing ``weight(arc)``), and the arc each node is reached by. It stops
+    once ``target`` is settled, when the costs of nodes not yet settled are
+    only upper bounds. ``weight`` is asked once for each arc scanned, at its
+    scan, so a caller can cost arcs lazily.
+
+    A cost drops only for a strictly cheaper way, and equal heap keys pop in
+    push order, so ties go to the way settled first. A popped entry dearer
+    than its node's cost is stale and is skipped, in place of a set of
+    settled nodes; that is exact when every arc weight is non-negative.
+    """
+    heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
+    cost: dict[object, float] = {source: 0.0}
+    via: dict[object, int] = {}
+    counter = 1
+    while heap:
+        d, _, node = heappop(heap)
+        if d > cost[node]:
+            continue  # a stale entry: the node was settled cheaper
+        if node == target:
+            break
+        for arc in adj.get(node, ()):
+            if arc in removed_arcs:
+                continue
+            nxt = arc_end[arc]
+            if nxt in removed_nodes:
+                continue
+            nd = d + weight(arc)
+            if nd < cost.get(nxt, math.inf):
+                cost[nxt] = nd
+                via[nxt] = arc
+                heappush(heap, (nd, counter, nxt))
+                counter += 1
+    return cost, via
 
 
 # -- loading ---------------------------------------------------------------

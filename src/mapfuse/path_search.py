@@ -23,7 +23,7 @@ from heapq import heappop, heappush
 from typing import Container, Iterable, Sequence
 
 from .geometry import bearing_inclination
-from .network import Edge, EdgeKey, RoadNetwork
+from .network import Edge, EdgeKey, RoadNetwork, dijkstra
 
 _SRC = "SRC"
 _SNK = "SNK"
@@ -253,7 +253,11 @@ class _SearchGraph:
     candidate an arc from the source to its link's end node, an end candidate
     one from its link's start node to the sink (payload: the candidate), and
     a forward same-link pair one from the source to the sink (payload: the
-    pair). Each weighs the part of its link that it covers."""
+    pair). Each weighs the part of its link that it covers.
+
+    A start arc may weigh an ulp below zero, which ``dijkstra`` tolerates:
+    no arc enters ``_SRC``, so forwards such an arc only leaves the source,
+    and backwards it only reaches a node with no arc on."""
 
     def __init__(self, subgraph: SubGraph,
                  start_candidates: Sequence[CandidateEdge],
@@ -291,8 +295,8 @@ class _SearchGraph:
 
     def dijkstra(self, source, removed_arcs: Container[int], removed_nodes: set) -> tuple[float, list[int]] | None:
         """Cheapest arc path from ``source`` to the sink, or None."""
-        cost, via = _dijkstra(self.adj, self.arc_dst, self.arc_weight, source, _SNK,
-                              removed_arcs, removed_nodes)
+        cost, via = dijkstra(self.adj, self.arc_dst, self.arc_weight.__getitem__, source, _SNK,
+                             removed_arcs, removed_nodes)
         if _SNK not in cost:
             return None
         arcs = [via[_SNK]]
@@ -307,7 +311,7 @@ class _SearchGraph:
         for arcs in self.adj.values():
             for arc in arcs:
                 into.setdefault(self.arc_dst[arc], []).append(arc)
-        return _dijkstra(into, self.arc_src, self.arc_weight, _SNK)
+        return dijkstra(into, self.arc_src, self.arc_weight.__getitem__, _SNK)
 
     def to_candidate_path(self, arcs: Sequence[int]) -> CandidatePath:
         """The first arc carries the start candidate and the last the end
@@ -328,48 +332,6 @@ class _SearchGraph:
             edges = tuple(keys)
         length = math.fsum(self.arc_weight[a] for a in arcs)
         return CandidatePath(start, end, link_ids, edges, length)
-
-
-def _dijkstra(adj: dict[object, list[int]], arc_end: Sequence[object],
-              arc_weight: Sequence[float], source, target=None,
-              removed_arcs: Container[int] = (), removed_nodes: Container = ()
-              ) -> tuple[dict[object, float], dict[object, int]]:
-    """Cheapest cost from ``source`` to each node it reaches along the arcs
-    of ``adj`` (node -> arc ids, each arc ending at ``arc_end[arc]``), and the
-    arc each node is reached by. It stops once ``target`` is settled, when
-    the costs of nodes not yet settled are only upper bounds.
-
-    A cost drops only for a strictly cheaper way, and equal heap keys pop in
-    push order. A popped entry dearer than its node's cost is stale and is
-    skipped, in place of a set of settled nodes. That is exact because every
-    arc weight is non-negative, except possibly a start arc out of ``_SRC``
-    that is negative by an ulp; no arc enters ``_SRC``, so forwards such an
-    arc only leaves the source, and backwards it only reaches a node with no
-    arc on.
-    """
-    heap: list[tuple[float, int, object]] = [(0.0, 0, source)]
-    cost: dict[object, float] = {source: 0.0}
-    via: dict[object, int] = {}
-    counter = 1
-    while heap:
-        d, _, node = heappop(heap)
-        if d > cost[node]:
-            continue  # a stale entry: the node was settled cheaper
-        if node == target:
-            break
-        for arc in adj.get(node, ()):
-            if arc in removed_arcs:
-                continue
-            nxt = arc_end[arc]
-            if nxt in removed_nodes:
-                continue
-            nd = d + arc_weight[arc]
-            if nd < cost.get(nxt, math.inf):
-                cost[nxt] = nd
-                via[nxt] = arc
-                heappush(heap, (nd, counter, nxt))
-                counter += 1
-    return cost, via
 
 
 def _yen(graph: _SearchGraph, budget: int) -> list[tuple[float, tuple[int, ...]]]:

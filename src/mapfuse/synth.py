@@ -163,13 +163,7 @@ class SyntheticFleet:
         for a, b in zip(indices, indices[1:]):
             paths.append(route_edges_between(self.network, truth.route,
                                              truth.probe_s[a], truth.probe_s[b]))
-        return MatchRecord(
-            trajectory_id=trajectory.id, vehicle=trajectory.vehicle,
-            probe_times=tuple(p.t for p in trajectory.probes),
-            matched_edges=matched, paths=tuple(paths),
-            start_lonlat=(trajectory.start.lon, trajectory.start.lat),
-            end_lonlat=(trajectory.end.lon, trajectory.end.lat),
-            t0=trajectory.t0, t_end=trajectory.t_end)
+        return MatchRecord.for_trip(trajectory, matched, paths)
 
     def truth_records(self, trajectories: Sequence[Trajectory] | None = None) -> list[MatchRecord]:
         source = trajectories if trajectories is not None else self.trajectories

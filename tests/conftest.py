@@ -29,6 +29,20 @@ def net_xy(network: RoadNetwork, x: float, y: float) -> tuple[float, float]:
     return network.projector.to_plane(*_FRAME.to_lonlat(x, y))
 
 
+def two_grids(far_side):
+    """A two-way 5 x 5 grid of 200 m links and, 50 km east, a disconnected
+    ``far_side`` x ``far_side`` one."""
+    nodes, pairs = [], []
+    for first, n, x0 in ((0, 5, 0.0), (100, far_side, 50_000.0)):
+        nodes += [(first + r * n + c, x0 + c * 200.0, r * 200.0)
+                  for r in range(n) for c in range(n)]
+        for a in (first + r * n + c for r in range(n) for c in range(n)):
+            for b in ([a + 1] if (a - first) % n + 1 < n else []) + \
+                     ([a + n] if (a - first) // n + 1 < n else []):
+                pairs += [(a, b), (b, a)]
+    return build_network(nodes, [(i, a, b, 200.0, None) for i, (a, b) in enumerate(pairs)])
+
+
 def probe_at(network: RoadNetwork, x: float, y: float, t: float,
              speed: float = 5.0, bearing: float = 0.0) -> Probe:
     """Probe at build_network input coordinates."""

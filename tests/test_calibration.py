@@ -14,7 +14,7 @@ from mapfuse.network import InputFormatError
 from mapfuse.path_search import SubGraph, find_candidate_edges, k_shortest_paths
 from mapfuse.synth import make_grid_network
 
-from conftest import build_network, probe_at, random_digraph
+from conftest import build_network, probe_at, random_digraph, two_grids
 
 
 def _chain_trajectory(net, positions, dt=15.0, speed=5.0):
@@ -99,20 +99,6 @@ class _CountingTable(dict):
         return super().get(key, default)
 
 
-def _two_grids(far_side):
-    """A two-way 5 x 5 grid of 200 m links and, 50 km east, a disconnected
-    ``far_side`` x ``far_side`` one."""
-    nodes, pairs = [], []
-    for first, n, x0 in ((0, 5, 0.0), (100, far_side, 50_000.0)):
-        nodes += [(first + r * n + c, x0 + c * 200.0, r * 200.0)
-                  for r in range(n) for c in range(n)]
-        for a in (first + r * n + c for r in range(n) for c in range(n)):
-            for b in ([a + 1] if (a - first) % n + 1 < n else []) + \
-                     ([a + n] if (a - first) // n + 1 < n else []):
-                pairs += [(a, b), (b, a)]
-    return build_network(nodes, [(i, a, b, 200.0, None) for i, (a, b) in enumerate(pairs)])
-
-
 class TestGroundTruthRoute:
     def test_length_equals_the_whole_network_search(self):
         rng = np.random.default_rng(29)
@@ -164,8 +150,9 @@ class TestGroundTruthRoute:
     def test_cost_does_not_grow_with_the_network(self):
         counts = []
         for far_side in (2, 30):
-            net = _two_grids(far_side)
-            net.out_links = _CountingTable(net.out_links)
+            net = two_grids(far_side)
+            out, to_node = net.route_tables
+            net.route_tables = (_CountingTable(out), to_node)
             start = next(lid for lid in net.link_ids
                          if (net.link(lid).from_node, net.link(lid).to_node) == (0, 1))
             end = next(lid for lid in net.link_ids
@@ -174,7 +161,7 @@ class TestGroundTruthRoute:
                                              _on_link(net, end, 0.6, 15.0)))
             ((_, path),) = ground_truth_paths(traj, net)
             assert path.length == pytest.approx(0.7 * 200.0 + 5 * 200.0 + 0.6 * 200.0, abs=1e-6)
-            counts.append(net.out_links.lookups)
+            counts.append(net.route_tables[0].lookups)
         assert counts[0] == counts[1] > 0
 
 

@@ -173,6 +173,8 @@ class TestExitCodes:
         ([], {"jobs": 1}, "jobs"),
         ([], {"k_floor": float("inf")}, "k_floor"),
         ([], {"radius": None}, "radius"),
+        ([], {"k_floor": 6.7}, "k_floor"),
+        ([], {"radius": True}, "radius"),
     ])
     def test_out_of_range_setting_is_2(self, workdir, capsys, flags, config, name):
         _synth(workdir)
@@ -229,7 +231,8 @@ class TestExitCodes:
 
 class TestBadFiles:
     @pytest.mark.parametrize("case", ["missing_model", "truncated_model", "model_of_other_grid",
-                                      "missing_weights"])
+                                      "missing_weights", "weights_list", "weights_number",
+                                      "weights_string", "weights_null"])
     def test_bad_model_or_weights_file_is_2(self, fleet, tmp_path, capsys, case):
         path = tmp_path / "bad.json"
         if case == "truncated_model":
@@ -238,7 +241,10 @@ class TestBadFiles:
             path.write_text(path.read_text()[:100])
         elif case == "model_of_other_grid":
             SpectralPredictor.for_network(make_grid_network(3, 3, 200.0), 2).save(str(path))
-        flags = (["--weights-file", str(path)] if case == "missing_weights"
+        elif case.startswith("weights_"):  # valid JSON, but not an object
+            path.write_text({"weights_list": "[1, 2, 3]", "weights_number": "3",
+                             "weights_string": '"x"', "weights_null": "null"}[case])
+        flags = (["--weights-file", str(path)] if "weights" in case
                  else ["--predictor", "spectral", "--model", str(path)])
         code = main(_match_argv(fleet, tmp_path / "out.csv", *flags))
         assert code == 2

@@ -6,7 +6,7 @@ import pytest
 from mapfuse import network
 from mapfuse.network import InputFormatError, load_network, load_network_csv, save_network_csv
 
-from conftest import build_network, net_xy, random_digraph
+from conftest import build_network, net_xy, random_digraph, two_grids
 
 
 def test_split_lengths_follow_ceiling_rule():
@@ -375,5 +375,19 @@ def test_route_ties_go_to_the_lower_link_id(first):
     links = [(0, 0, first, 100.0, None), (1, 0, other, 100.0, None),
              (2, other, 3, 100.0, None), (3, first, 3, 100.0, None)]
     net = build_network(nodes, links)
-    assert "out_links" not in vars(net)  # the table is built on first use
+    assert "route_tables" not in vars(net)  # the tables are built on first use
     assert net.route(0, 3, lambda link: link.length) == [0, 3]
+
+
+def test_route_asks_cost_only_of_the_links_it_scans():
+    # a route across the near 5 x 5 grid; a cost asked of every link would
+    # count the disconnected far side's links as well
+    counts = []
+    for far_side in (2, 30):
+        net = two_grids(far_side)
+        asked = []
+        route = net.route(0, 19, lambda link: asked.append(link.id) or link.length)
+        assert len(route) == 7  # three links north, four east
+        assert (net.link(route[0]).from_node, net.link(route[-1]).to_node) == (0, 19)
+        counts.append(len(asked))
+    assert counts[0] == counts[1] > 0
