@@ -17,9 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .history import Trajectory
-from .network import EdgeKey, InputFormatError, RoadNetwork, _write_csv
+from .network import EdgeKey, InputFormatError, RoadNetwork, _read_json, _write_csv
 from .path_search import CandidatePath, SubGraph, find_candidate_edges, k_shortest_paths
 from .scoring import FusionWeights
+from .traffic import _split_sizes
 
 log = logging.getLogger(__name__)
 
@@ -116,7 +117,6 @@ class WeightFit:
     train_history: list[float] = field(default_factory=list)
     best_val: float = math.inf
     degenerate: bool = False
-    epochs: int = 0
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -161,9 +161,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
     scores, target = scores[order], target[order]
-    n = len(samples)
-    n_train = max(1, int(round(0.6 * n)))
-    n_val = max(1, min(int(round(0.2 * n)), n - n_train))
+    n_train, n_val, _ = _split_sizes(len(samples))
     s_train, y_train = scores[:n_train], target[:n_train]
     s_val, y_val = scores[n_train:n_train + n_val], target[n_train:n_train + n_val]
 
@@ -179,7 +177,7 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
         resid = pred - y
         return float(resid @ resid / len(y))
 
-    for epoch in range(max_epochs):
+    for _ in range(max_epochs):
         w = _softmax(logits)
         pred = s_train @ w + bias
         resid = pred - y_train
@@ -202,7 +200,6 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
             trial /= 2.0
         val_loss = loss(s_val, y_val, logits, bias)
         result.train_history.append(accepted)
-        result.epochs = epoch + 1
         if val_loss < result.best_val - 1e-15:
             result.best_val = val_loss
             best = (logits.copy(), bias)
@@ -237,13 +234,11 @@ def write_weights_json(path: str, fit: WeightFit) -> None:
 
 
 def read_weights_json(path: str) -> FusionWeights:
+    """Weights as ``write_weights_json`` writes them; each value is cast from its text."""
+    payload = _read_json(path)
     try:
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        if not isinstance(payload, dict):
-            raise ValueError("expected a JSON object of weights")
-        if not math.isfinite(float(payload.get("bias", 0.0))):
+        if not math.isfinite(float(str(payload.get("bias", 0.0)))):
             raise ValueError("bias must be finite")
-        return FusionWeights(float(payload["wp"]), float(payload["wc"]), float(payload["wa"]))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+        return FusionWeights(*(float(str(payload[key])) for key in ("wp", "wc", "wa")))
+    except (KeyError, ValueError) as exc:
         raise InputFormatError(f"{path}: bad weights file: {exc}") from exc

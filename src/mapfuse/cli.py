@@ -21,7 +21,7 @@ from .evaluate import EmptyResultError, cost_index, evaluate_rows
 from .history import HistoryStore, Trajectory, load_probes_csv, split_trips, write_probes_csv
 from .matcher import (MatcherConfig, MatchSession, match_record, read_match_csv,
                       write_match_csv)
-from .network import InputFormatError, load_network_csv, save_network_csv
+from .network import InputFormatError, _read_json, load_network_csv, save_network_csv
 from .path_search import line_feature
 from .scoring import FusionWeights
 from .synth import generate_synthetic, make_grid_network
@@ -59,14 +59,8 @@ _CLI_DEFAULTS = {"judges": ",".join(_JUDGES)}
 def _load_config(path: str | None) -> dict:
     if not path:
         return {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    except (OSError, ValueError) as exc:
-        raise InputFormatError(f"{path}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise InputFormatError(f"{path}: expected a JSON object of settings")
-    unknown = set(cfg) - set(_CONFIG_KEYS) - {"weights"}
+    cfg = _read_json(path)
+    unknown = set(cfg) - set(_CONFIG_KEYS)
     if unknown:
         raise InputFormatError(f"{path}: unknown config keys {sorted(unknown)}")
     return cfg
@@ -90,9 +84,9 @@ def _add_pipeline_flags(p: argparse.ArgumentParser) -> None:
         _add_setting_flag(p, key)
 
 
-def _user_settings(args, config: dict) -> dict:
-    """The settings the user gave: each flag if set, else its config key."""
-    settings = {key: value for key, value in config.items() if key != "weights"}
+def _user_settings(args) -> dict:
+    """The settings the user gave: each flag if set, else its key in the config file."""
+    settings = _load_config(getattr(args, "config", None))
     for key in _CONFIG_KEYS:
         value = getattr(args, key, None)
         if value is not None:
@@ -119,9 +113,9 @@ def _cast(settings: dict, key: str):
         raise InputFormatError(f"pipeline setting {key}: {exc}") from exc
 
 
-def _build_matcher_config(args, config: dict | None = None, **fixed) -> MatcherConfig:
+def _build_matcher_config(args, **fixed) -> MatcherConfig:
     """MatcherConfig from the settings the user gave; a bad value exits 2 and names it."""
-    settings = _user_settings(args, config or {})
+    settings = _user_settings(args)
     kwargs = {_RENAMED.get(key, key): _cast(settings, key)
               for key in settings if key not in _CLI_DEFAULTS}
     judges = {j.strip() for j in _cast(settings, "judges").split(",") if j.strip()}
@@ -141,17 +135,11 @@ def _load_trajectories(probes_path: str, trip_gap: float) -> list[Trajectory]:
     return out
 
 
-def _resolve_weights(args, config: dict) -> FusionWeights:
-    if getattr(args, "equal_weights", False):
+def _resolve_weights(args) -> FusionWeights:
+    if args.equal_weights:
         return FusionWeights.equal()
-    if getattr(args, "weights_file", None):
+    if args.weights_file:
         return cal.read_weights_json(args.weights_file)
-    if "weights" in config:
-        w = config["weights"]
-        try:
-            return FusionWeights(float(w["wp"]), float(w["wc"]), float(w["wa"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InputFormatError(f"bad weights in config: {exc}") from exc
     return FusionWeights.calibrated_default()
 
 
@@ -177,9 +165,7 @@ def _record_geojson(network, record) -> dict:
 def _cmd_match(args) -> int:
     _check_outputs([args.out, args.states_out, args.history_log_out, args.report],
                    [args.geojson_dir, args.debug_dir])
-    config = _load_config(args.config)
-    weights = _resolve_weights(args, config)
-    mcfg = _build_matcher_config(args, config, weights=weights)
+    mcfg = _build_matcher_config(args, weights=_resolve_weights(args))
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)
     trajectories = _load_trajectories(args.probes, mcfg.trip_gap)
     if not trajectories:
@@ -310,9 +296,10 @@ def _cmd_train_predictor(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     _check_outputs([args.out, args.samples_out])
-    config = _load_config(args.config)
+    if args.seed < 0:
+        raise InputFormatError(f"--seed: expected a non-negative integer, got {args.seed}")
     # sampling runs with uninformed weights
-    mcfg = _build_matcher_config(args, config, weights=FusionWeights.equal())
+    mcfg = _build_matcher_config(args, weights=FusionWeights.equal())
     if mcfg.predictor == "spectral":
         raise InputFormatError("calibrate takes no checkpoint; use predictor 'naive' or 'none'")
     network = load_network_csv(args.nodes, args.links, mcfg.split_length)

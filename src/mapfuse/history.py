@@ -415,6 +415,8 @@ def parse_edges(text: str) -> tuple[EdgeKey, ...] | None:
 # -- probe file I/O ----------------------------------------------------------
 
 PROBE_COLUMNS = ("vehicle_id", "timestamp", "lon", "lat", "speed_mps", "bearing_deg")
+# a vehicle id names output files and is a history-log field
+_ID_FORBIDDEN = frozenset("/|\0\r\n")
 
 
 def _probe_row(vehicle, t, lon, lat, speed, bearing) -> tuple[str, Probe]:
@@ -428,6 +430,8 @@ def load_probes_csv(path: str) -> dict[str, list[Probe]]:
     for vehicle, probe in _read_csv(path, PROBE_COLUMNS, _probe_row):
         by_vehicle.setdefault(vehicle, []).append(probe)
     for vehicle, probes in by_vehicle.items():
+        if not _ID_FORBIDDEN.isdisjoint(vehicle):
+            raise InputFormatError(f"{path}: vehicle id {vehicle!r} holds '/', '|', NUL, CR or LF")
         probes.sort(key=lambda p: p.t)
         for a, b in zip(probes, probes[1:]):
             if a.t == b.t:

@@ -11,6 +11,7 @@ its eigendecomposition feed the traffic predictor.
 from __future__ import annotations
 
 import csv
+import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -454,6 +455,19 @@ def _read_csv(path: str, required: Sequence[str], convert: Callable[..., _Row],
                     raise InputFormatError(f"{path}:{reader.line_num}: {reason}") from exc
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise InputFormatError(f"{path}: {exc}") from exc
+
+
+def _read_json(path: str) -> dict:
+    """The JSON object in a file; the one place that reads JSON. A missing, unreadable,
+    malformed or too deeply nested file, or a non-object, raises InputFormatError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise InputFormatError(f"{path}: expected a JSON object")
+    return payload
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:

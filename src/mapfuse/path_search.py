@@ -40,8 +40,6 @@ class CandidateEdge:
     """An edge a probe may project onto."""
 
     edge: Edge
-    x: float            # projection point (planar)
-    y: float
     offset: float       # nominal meters from the edge start
     distance: float     # perpendicular distance probe -> projection
 
@@ -54,10 +52,7 @@ class CandidateEdge:
 def carried_candidate(network: RoadNetwork, key: EdgeKey, offset: float) -> CandidateEdge:
     """Candidate for an already-inferred edge (cursor carried forward)."""
     edge = network.edge(key)
-    offset = min(max(offset, 0.0), edge.length)
-    f = offset / edge.length if edge.length > 0 else 0.0
-    return CandidateEdge(edge, edge.x0 + f * (edge.x1 - edge.x0),
-                         edge.y0 + f * (edge.y1 - edge.y0), offset, 0.0)
+    return CandidateEdge(edge, min(max(offset, 0.0), edge.length), 0.0)
 
 
 def find_candidate_edges(x: float, y: float, bearing: float,
@@ -97,7 +92,7 @@ def find_candidate_edges(x: float, y: float, bearing: float,
         for edge in link.edges[max(i, 0):i + 2]:
             proj, offset = network.project_point_to_edge(x, y, edge)
             if cand is None or proj.distance < cand.distance:
-                cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
+                cand = CandidateEdge(edge, offset, proj.distance)
         edge = cand.edge
         if cand.distance <= radius and (math.hypot(edge.x0 - x, edge.y0 - y) <= radius
                                         or math.hypot(edge.x1 - x, edge.y1 - y) <= radius):
@@ -240,6 +235,20 @@ class CandidatePath:
         return self.end.edge.key
 
 
+def path_edges(network: RoadNetwork, link_ids: Sequence[int], first: int,
+               last: int) -> tuple[EdgeKey, ...]:
+    """The edge keys along ``link_ids``, from edge ``first`` (1-based) of the first
+    link to edge ``last`` of the last, or within the one link when there is only one."""
+    link = network.link
+    if len(link_ids) == 1:
+        return link(link_ids[0]).edge_keys[first - 1:last]
+    keys = list(link(link_ids[0]).edge_keys[first - 1:])
+    for lid in link_ids[1:-1]:
+        keys += link(lid).edge_keys
+    keys += link(link_ids[-1]).edge_keys[:last]
+    return tuple(keys)
+
+
 def candidate_path_budget(probe_interval: float, floor: int = 6, cap: int = 200) -> int:
     """How many candidate paths to search for a given probing interval."""
     k = int(round(max(0.3 * probe_interval - 18.0, float(floor))))
@@ -316,20 +325,14 @@ class _SearchGraph:
     def to_candidate_path(self, arcs: Sequence[int]) -> CandidatePath:
         """The first arc carries the start candidate and the last the end
         candidate; a one-arc path is a single-link traversal."""
-        link = self.network.link
         payload = self.arc_payload
         if len(arcs) == 1:
             start, end = payload[arcs[0]]
             link_ids = (start.edge.link_id,)
-            edges = link(start.edge.link_id).edge_keys[start.edge.index - 1:end.edge.index]
         else:
             start, end = payload[arcs[0]], payload[arcs[-1]]
             link_ids = (start.edge.link_id, *(payload[a] for a in arcs[1:-1]), end.edge.link_id)
-            keys = list(link(link_ids[0]).edge_keys[start.edge.index - 1:])
-            for lid in link_ids[1:-1]:
-                keys += link(lid).edge_keys
-            keys += link(link_ids[-1]).edge_keys[:end.edge.index]
-            edges = tuple(keys)
+        edges = path_edges(self.network, link_ids, start.edge.index, end.edge.index)
         length = math.fsum(self.arc_weight[a] for a in arcs)
         return CandidatePath(start, end, link_ids, edges, length)
 

@@ -19,6 +19,7 @@ from . import network as network_mod
 from .geometry import PlanarProjector
 from .history import MatchRecord, Probe, Trajectory
 from .network import EdgeKey, RoadNetwork, load_network
+from .path_search import path_edges
 
 
 def make_grid_network(n_cols: int = 8, n_rows: int = 8, spacing: float = 200.0,
@@ -106,23 +107,12 @@ def route_edges_between(network: RoadNetwork, route: RouteGeometry,
         raise ValueError("route distances must be ordered")
     start_link, start_off = route.locate(s_from)
     end_link, end_off = route.locate(s_to)
-    edges: list[EdgeKey] = []
-    started = False
-    for lid, enter, exit_, _cum in route.steps:
-        if not started:
-            if lid != start_link:
-                continue
-            started = True
-            off_lo = start_off
-        else:
-            off_lo = enter
-        off_hi = end_off if lid == end_link else exit_
-        first = _edge_at(network, lid, off_lo)
-        last = _edge_at(network, lid, off_hi)
-        edges.extend((lid, i) for i in range(first[1], last[1] + 1))
-        if lid == end_link:
-            break
-    return tuple(edges)
+    link_ids = [lid for lid, *_ in route.steps]
+    i = link_ids.index(start_link)
+    j = link_ids.index(end_link, i)
+    # the links between are passed whole, so only the two end offsets pick edges
+    return path_edges(network, link_ids[i:j + 1], _edge_at(network, start_link, start_off)[1],
+                      _edge_at(network, end_link, end_off)[1])
 
 
 @dataclass

@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .network import InputFormatError, RoadNetwork, _read_csv, _write_csv
+from .network import InputFormatError, RoadNetwork, _read_csv, _read_json, _write_csv
 
 _LOSS_TOL = 1e-12  # line-search descent tolerance
 _PATIENCE = 4      # epochs without validation improvement that make a plateau
@@ -215,11 +215,8 @@ class SpectralPredictor:
 
     @classmethod
     def load(cls, path: str, network: RoadNetwork) -> "SpectralPredictor":
+        payload = _read_json(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if not isinstance(payload, dict):
-                raise ValueError("checkpoint is not a JSON object")
             if payload.get("format") != 2:
                 raise ValueError(f"checkpoint format {payload.get('format')} is not 2: retrain it")
             if payload["n_links"] != network.n_links():
@@ -232,7 +229,7 @@ class SpectralPredictor:
             if not (np.isfinite(filters).all() and np.isfinite(decay).all()):
                 raise ValueError("non-finite filter or decay values")
             return cls(network.laplacian_spectrum()[0], filters, decay, fingerprint)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise InputFormatError(f"{path}: {exc}") from exc
 
 

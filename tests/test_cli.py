@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -187,7 +188,9 @@ class TestExitCodes:
         assert code == 2
         assert name in capsys.readouterr().err
 
-    @pytest.mark.parametrize("key, value", [("jobs", 1), ("temporal_mode", "absolute")])
+    @pytest.mark.parametrize("key, value", [
+        ("jobs", 1), ("temporal_mode", "absolute"),
+        pytest.param("weights", {"wp": 0.2, "wc": 0.5, "wa": 0.3}, id="weights")])
     def test_removed_setting_is_gone(self, workdir, capsys, key, value):
         _synth(workdir)
         argv = ["match", "--nodes", str(workdir / "nodes.csv"),
@@ -197,20 +200,23 @@ class TestExitCodes:
         (workdir / "cfg.json").write_text(json.dumps({key: value}))
         assert main([*argv, "--config", str(workdir / "cfg.json")]) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
-        with pytest.raises(SystemExit) as exc:
-            main([*argv, "--" + key.replace("_", "-"), str(value)])
-        assert exc.value.code == 2
+        if key != "weights":  # never a flag, and --weights abbreviates --weights-file
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, "--" + key.replace("_", "-"), str(value)])
+            assert exc.value.code == 2
 
     def test_config_not_an_object_is_2(self, workdir, capsys):
         _synth(workdir)
-        (workdir / "cfg.json").write_text("5")
-        code = main(["match", "--nodes", str(workdir / "nodes.csv"),
-                     "--links", str(workdir / "links.csv"),
-                     "--probes", str(workdir / "probes.csv"),
-                     "--out", str(workdir / "out.csv"),
-                     "--config", str(workdir / "cfg.json")])
-        assert code == 2
-        assert "cfg.json" in capsys.readouterr().err
+        # a number, and a list nested past the JSON parser's recursion limit
+        for text in ("5", "[" * 100_000 + "]" * 100_000):
+            (workdir / "cfg.json").write_text(text)
+            code = main(["match", "--nodes", str(workdir / "nodes.csv"),
+                         "--links", str(workdir / "links.csv"),
+                         "--probes", str(workdir / "probes.csv"),
+                         "--out", str(workdir / "out.csv"),
+                         "--config", str(workdir / "cfg.json")])
+            assert code == 2
+            assert "cfg.json" in capsys.readouterr().err
 
     @pytest.mark.parametrize("corrupt", ["duplicate_row", "nan_bearing"])
     def test_malformed_probe_row_is_2(self, workdir, capsys, corrupt):
@@ -231,8 +237,9 @@ class TestExitCodes:
 
 class TestBadFiles:
     @pytest.mark.parametrize("case", ["missing_model", "truncated_model", "model_of_other_grid",
-                                      "missing_weights", "weights_list", "weights_number",
-                                      "weights_string", "weights_null"])
+                                      "deep_model", "missing_weights", "weights_list",
+                                      "weights_number", "weights_string", "weights_null",
+                                      "deep_weights", "weights_bool"])
     def test_bad_model_or_weights_file_is_2(self, fleet, tmp_path, capsys, case):
         path = tmp_path / "bad.json"
         if case == "truncated_model":
@@ -241,6 +248,10 @@ class TestBadFiles:
             path.write_text(path.read_text()[:100])
         elif case == "model_of_other_grid":
             SpectralPredictor.for_network(make_grid_network(3, 3, 200.0), 2).save(str(path))
+        elif case.startswith("deep_"):  # nested past the JSON parser's recursion limit
+            path.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "weights_bool":  # weights are cast from their text, as settings are
+            path.write_text('{"wp": true, "wc": false, "wa": false}')
         elif case.startswith("weights_"):  # valid JSON, but not an object
             path.write_text({"weights_list": "[1, 2, 3]", "weights_number": "3",
                              "weights_string": '"x"', "weights_null": "null"}[case])
@@ -443,10 +454,33 @@ def test_state_log_link_missing_from_links_names_both(fleet, tmp_path, capsys):
     assert "states.csv:" in err and str(links) in err
 
 
+@pytest.mark.parametrize("vehicle", ["../escaped", "a\0b", "a|b", "a\rb", "a\nb"])
+def test_vehicle_id_that_escapes_or_breaks_an_output_is_2(fleet, tmp_path, capsys, vehicle):
+    # the id names the GeoJSON and debug files and is a history-log field
+    with open(fleet / "probes.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        if row[0] == rows[1][0]:
+            row[0] = vehicle
+    bad = tmp_path / "probes.csv"
+    with open(bad, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(rows)
+    out = tmp_path / "out"
+    assert main(["match", "--nodes", str(fleet / "nodes.csv"), "--links", str(fleet / "links.csv"),
+                 "--probes", str(bad), "--out", str(out / "m.csv"),
+                 "--geojson-dir", str(out / "geo"), "--debug-dir", str(out / "debug"),
+                 "--history-log-out", str(out / "h.log")]) == 2
+    err = capsys.readouterr().err
+    assert str(bad) in err and repr(vehicle) in err
+    assert sorted(p.name for p in out.iterdir()) == ["debug", "geo"]
+    assert not any((out / "geo").iterdir()) and not any((out / "debug").iterdir())
+
+
 @pytest.mark.parametrize("argv, name", [
     (["calibrate", "--intervals", "abc"], "--intervals"),
     (["calibrate", "--intervals", "60", "--epochs", "0"], "epoch"),
     (["train-predictor", "--max-steps", "2", "--epochs", "0"], "epoch"),
+    (["calibrate", "--intervals", "60", "--seed", "-1"], "--seed"),
 ])
 def test_bad_count_or_list_is_2(fleet, tmp_path, capsys, argv, name):
     files = {"calibrate": ["--probes", str(fleet / "probes.csv")],

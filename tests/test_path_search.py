@@ -97,7 +97,7 @@ def _candidates_every_edge(x, y, bearing, net, radius):
     best = {}
     for edge in (e for lid in net.link_ids for e in net.link(lid).edges):
         proj, offset = net.project_point_to_edge(x, y, edge)
-        cand = CandidateEdge(edge, proj.x, proj.y, offset, proj.distance)
+        cand = CandidateEdge(edge, offset, proj.distance)
         cur = best.get(edge.link_id)
         if cur is None or (cand.distance, edge.index) < (cur.distance, cur.edge.index):
             best[edge.link_id] = cand
@@ -233,7 +233,7 @@ class TestSubgraph:
             net, _, starts, ends = _random_instance(rng)
             # foci at candidate projections, as in matching, so candidate
             # edges often cross the boundary
-            foci = [(c.x, c.y) for c in starts + ends]
+            foci = [_foot(c) for c in starts + ends]
             i, j = rng.integers(0, len(foci), size=2)
             region = ellipse_region(foci[i], foci[j], float(rng.uniform(1.0, 30.0)), 0.0, 60.0)
             starts = starts[:int(rng.integers(0, len(starts) + 1))]
@@ -335,7 +335,7 @@ def _random_trim_instance(rng):
     """A random network, candidates and an ellipse whose foci are candidate
     projections, as in matching, so candidate edges often cross its edge."""
     net, _, starts, ends = _random_instance(rng)
-    foci = [(c.x, c.y) for c in starts + ends]
+    foci = [_foot(c) for c in starts + ends]
     i, j = rng.integers(0, len(foci), size=2)
     region = ellipse_region(foci[i], foci[j], float(rng.uniform(1.0, 30.0)), 0.0, 60.0)
     starts = starts[:int(rng.integers(0, len(starts) + 1))]
@@ -510,7 +510,7 @@ class TestKShortest:
         for _ in range(6):
             net, whole, starts, ends = _random_instance(rng)
             # foci at a start and an end projection, wide enough to keep some paths
-            region = ellipse_region((starts[0].x, starts[0].y), (ends[0].x, ends[0].y),
+            region = ellipse_region(_foot(starts[0]), _foot(ends[0]),
                                     float(rng.uniform(20.0, 60.0)), 0.0, 60.0)
             trimmed = build_subgraph(net, region, starts, ends)
             for sub in (whole, trimmed):
@@ -640,6 +640,12 @@ def _northwest_link(net):
 
 def _southeast_link(net):
     return _find_link(net, 11, 15)
+
+
+def _foot(cand):
+    """A candidate's projection point: ``offset`` along its edge."""
+    edge, f = cand.edge, cand.offset / cand.edge.length
+    return edge.x0 + f * (edge.x1 - edge.x0), edge.y0 + f * (edge.y1 - edge.y0)
 
 
 def _random_instance(rng):
