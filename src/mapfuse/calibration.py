@@ -3,29 +3,27 @@
 High-frequency trips yield trustworthy shortest-path routes; thinning them
 produces low-frequency variants whose candidate paths can be scored and
 compared against those routes. A tiny linear model then learns how much each
-judge's score predicts path accuracy, with the weights kept on the simplex
-through a softmax parameterization.
+judge's score predicts path accuracy, with the weights on the simplex; its
+least-squares fit is solved exactly.
 """
 from __future__ import annotations
 
 import json
 import logging
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .history import Trajectory
+from .history import Probe, Trajectory
+from .matcher import MatcherConfig, MatchSession, SegmentOutcome
 from .network import EdgeKey, InputFormatError, RoadNetwork, _read_json, _write_csv
 from .path_search import CandidatePath, SubGraph, find_candidate_edges, k_shortest_paths
 from .scoring import FusionWeights
 from .traffic import _split_sizes
 
 log = logging.getLogger(__name__)
-
-_FIRST_STEP = 0.5  # first backtracking step of the weight fit
-_PATIENCE = 50     # epochs without validation improvement that stop the weight fit
 
 
 @dataclass(frozen=True)
@@ -109,19 +107,42 @@ def path_accuracy(path_edges: Sequence[EdgeKey], truth_edges: Sequence[EdgeKey])
     return sum(1 for e in path_edges if e in truth) / len(path_edges)
 
 
+class ScoreSampler(MatchSession):
+    """A match session over thinned anchors that samples as it matches.
+
+    ``truth`` maps an anchor's id to its probes' indices and its
+    :func:`ground_truth_paths` by end index. As each segment passes, every
+    candidate's judge scores (as fractions) and accuracy against the truth
+    between its probes become a sample; a gap in the truth gives none.
+    """
+
+    def __init__(self, network: RoadNetwork, config: MatcherConfig,
+                 truth: dict[str, tuple[dict[Probe, int], dict[int, CandidatePath | None]]]):
+        super().__init__(network, config)
+        self.truth = truth
+        self.samples: list[CalibrationSample] = []
+
+    def segment_outcomes(self, trajectory: Trajectory) -> Iterator[tuple[int, SegmentOutcome]]:
+        index, paths = self.truth[trajectory.id]
+        for i, outcome in super().segment_outcomes(trajectory):
+            a, b = index[trajectory.probes[i - 1]], index[trajectory.probes[i]]
+            truth = [paths.get(j) for j in range(a + 1, b + 1)]
+            if None not in truth:
+                truth_edges = tuple(e for path in truth for e in path.edges)
+                self.samples.extend(
+                    CalibrationSample(sv.kinematic / 100.0, sv.habit / 100.0,
+                                      sv.traffic / 100.0, path_accuracy(cand.edges, truth_edges))
+                    for cand, sv in zip(outcome.candidates, outcome.candidate_scores))
+            yield i, outcome
+
+
 @dataclass
 class WeightFit:
     weights: FusionWeights            # raw fitted weights (consumed by the matcher)
     rounded: FusionWeights            # one-decimal presentation weights
     bias: float
-    train_history: list[float] = field(default_factory=list)
-    best_val: float = math.inf
+    val_mse: float = math.inf
     degenerate: bool = False
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    e = np.exp(z - z.max())
-    return e / e.sum()
 
 
 def _round_weights(w: np.ndarray) -> FusionWeights:
@@ -133,19 +154,18 @@ def _round_weights(w: np.ndarray) -> FusionWeights:
     return FusionWeights(float(r[0]), float(r[1]), float(r[2]))
 
 
-def fit_weights(samples: Sequence[CalibrationSample], *,
-                max_epochs: int = 20000, seed: int = 0) -> WeightFit:
+_FACES = ((0, 1, 2), (0, 1), (0, 2), (1, 2), (0,), (1,), (2,))  # judges free on each simplex face
+
+
+def fit_weights(samples: Sequence[CalibrationSample], *, seed: int = 0) -> WeightFit:
     """Fit the judge weights to predict path accuracy from scores.
 
-    Scores enter as fractions in [0, 1]. The weights are a softmax over
-    three logits (initialized at zero, i.e. equal weights) so they stay
-    nonnegative and sum to one at every epoch; a free bias absorbs offsets
-    and is dropped at inference, where it cannot change the argmax. Training
-    is full-batch gradient descent with a backtracking step and early stop
-    on a 6:2:2 validation split.
+    Scores enter as fractions in [0, 1]; ``w`` in ``scores @ w + bias`` is
+    on the simplex, and the bias is dropped at inference, where it cannot
+    change the argmax. The loss is convex, so the exact fit is the feasible
+    least-squares solution of least loss on one of the simplex's faces. It is
+    fitted on the first part of a seeded 6:2:2 split; the MSE is the second's.
     """
-    if max_epochs < 1:
-        raise ValueError(f"need at least one epoch, got {max_epochs}")
     if len(samples) < 30:
         raise ValueError(f"need at least 30 samples, got {len(samples)}")
     scores = np.array([[s.kinematic, s.habit, s.traffic] for s in samples], dtype=float)
@@ -165,58 +185,19 @@ def fit_weights(samples: Sequence[CalibrationSample], *,
     s_train, y_train = scores[:n_train], target[:n_train]
     s_val, y_val = scores[n_train:n_train + n_val], target[n_train:n_train + n_val]
 
-    logits = np.zeros(3)
-    bias = 0.0
-    result = WeightFit(FusionWeights.equal(), FusionWeights.equal(), 0.0)
-    best = (logits.copy(), bias)
-    step = _FIRST_STEP
-    stale = 0
-
-    def loss(s, y, lg, b):
-        pred = s @ _softmax(lg) + b
-        resid = pred - y
-        return float(resid @ resid / len(y))
-
-    for _ in range(max_epochs):
-        w = _softmax(logits)
-        pred = s_train @ w + bias
-        resid = pred - y_train
-        base_loss = float(resid @ resid / n_train)
-        d_pred = 2.0 * resid / n_train
-        d_w = s_train.T @ d_pred
-        d_logits = w * (d_w - float(w @ d_w))   # softmax Jacobian
-        d_bias = float(d_pred.sum())
-
-        accepted = base_loss
-        trial = step
-        for _ in range(40):
-            cand_logits = logits - trial * d_logits
-            cand_bias = bias - trial * d_bias
-            cand_loss = loss(s_train, y_train, cand_logits, cand_bias)
-            if cand_loss <= base_loss + 1e-15:
-                logits, bias, accepted = cand_logits, cand_bias, cand_loss
-                step = trial * 1.2
-                break
-            trial /= 2.0
-        val_loss = loss(s_val, y_val, logits, bias)
-        result.train_history.append(accepted)
-        if val_loss < result.best_val - 1e-15:
-            result.best_val = val_loss
-            best = (logits.copy(), bias)
-            stale = 0
-        else:
-            stale += 1
-            if stale >= _PATIENCE:
-                break
-        if float(d_logits @ d_logits) + d_bias * d_bias < 1e-24:
-            break
-
-    logits, bias = best
-    w = _softmax(logits)
-    result.weights = FusionWeights(float(w[0]), float(w[1]), float(w[2]))
-    result.rounded = _round_weights(w)
-    result.bias = bias
-    return result
+    best = (math.inf, None, 0.0)  # a vertex is always feasible, so this is replaced
+    for *free, last in _FACES:  # w[last] = 1 - sum(w[free]), the bias free
+        design = np.column_stack([s_train[:, free] - s_train[:, [last]], np.ones(n_train)])
+        coef = np.linalg.lstsq(design, y_train - s_train[:, last], rcond=None)[0]
+        w = np.zeros(3)
+        w[free] = coef[:-1]
+        w[last] = 1.0 - coef[:-1].sum()
+        loss = float(np.mean((s_train @ w + coef[-1] - y_train) ** 2))
+        if w.min() >= 0.0 and loss < best[0]:
+            best = (loss, w, float(coef[-1]))
+    _, w, bias = best
+    return WeightFit(FusionWeights(float(w[0]), float(w[1]), float(w[2])), _round_weights(w),
+                     bias, float(np.mean((s_val @ w + bias - y_val) ** 2)))
 
 
 # -- file formats -----------------------------------------------------------

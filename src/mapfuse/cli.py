@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import logging
 import os
@@ -19,8 +20,7 @@ from typing import Sequence
 from . import calibration as cal
 from .evaluate import EmptyResultError, cost_index, evaluate_rows
 from .history import HistoryStore, Trajectory, load_probes_csv, split_trips, write_probes_csv
-from .matcher import (MatcherConfig, MatchSession, match_record, read_match_csv,
-                      write_match_csv)
+from .matcher import MatcherConfig, MatchSession, read_match_csv, write_match_csv
 from .network import InputFormatError, _read_json, load_network_csv, save_network_csv
 from .path_search import line_feature
 from .scoring import FusionWeights
@@ -218,6 +218,8 @@ def _cmd_match(args) -> int:
 
 def _cmd_synth(args) -> int:
     _check_outputs([args.out, args.truth_out, args.nodes_out, args.links_out])
+    if args.seed < 0:
+        raise InputFormatError(f"--seed: expected a non-negative integer, got {args.seed}")
     split_length = _build_matcher_config(args).split_length
     with _input_errors():
         network = make_grid_network(args.grid_cols, args.grid_rows, args.spacing,
@@ -310,43 +312,28 @@ def _cmd_calibrate(args) -> int:
         intervals = [float(v) for v in args.intervals.split(",") if v]
 
     # the truth depends only on the full-rate trip, so every interval shares it
-    anchors = [(traj, dict(cal.ground_truth_paths(traj, network, radius=mcfg.vicinity_radius)))
-               for traj in sorted(trajectories, key=lambda t: (t.t0, t.id))]
+    truth = {traj.id: ({p: i for i, p in enumerate(traj.probes)},
+                       dict(cal.ground_truth_paths(traj, network, radius=mcfg.vicinity_radius)))
+             for traj in trajectories}
     samples = []
     for interval in intervals:
-        session = MatchSession(network, mcfg)
-        for traj, truth_by_idx in anchors:
-            with _input_errors("--intervals: "):
-                thin = cal.downsample(traj, interval)
-            if len(thin.probes) < 2:
-                continue
-            idx_of = {round(p.t, 6): i for i, p in enumerate(traj.probes)}
-            outcomes = list(session.segment_outcomes(thin))
-            for seg_end, outcome in outcomes:
-                a = idx_of[round(thin.probes[seg_end - 1].t, 6)]
-                b = idx_of[round(thin.probes[seg_end].t, 6)]
-                truth = [truth_by_idx.get(i) for i in range(a + 1, b + 1)]
-                if None in truth:
-                    continue
-                truth_edges = tuple(e for p in truth for e in p.edges)
-                for cand, sv in zip(outcome.candidates, outcome.candidate_scores):
-                    y = cal.path_accuracy(cand.edges, truth_edges)
-                    samples.append(cal.CalibrationSample(
-                        sv.kinematic / 100.0, sv.habit / 100.0, sv.traffic / 100.0, y))
-            session.feed_back(match_record(thin, outcomes))
+        with _input_errors("--intervals: "):
+            thinned = [cal.downsample(traj, interval) for traj in trajectories]
+        sampler = cal.ScoreSampler(network, mcfg, truth)
+        sampler.run(thin for thin in thinned if len(thin.probes) >= 2)
+        samples.extend(sampler.samples)
     if args.samples_out:
         cal.write_samples_csv(args.samples_out, samples)
     if len(samples) < 30:
         raise EmptyResultError(f"only {len(samples)} calibration samples; need 30")
-    with _input_errors("--epochs: "):
-        fit = cal.fit_weights(samples, max_epochs=args.epochs, seed=args.seed)
+    fit = cal.fit_weights(samples, seed=args.seed)
     cal.write_weights_json(args.out, fit)
     print(json.dumps({
         "weights": {"wp": fit.weights.kinematic, "wc": fit.weights.habit,
                     "wa": fit.weights.traffic},
         "rounded": {"wp": fit.rounded.kinematic, "wc": fit.rounded.habit,
                     "wa": fit.rounded.traffic},
-        "bias": fit.bias, "mse": fit.best_val, "n_samples": len(samples),
+        "bias": fit.bias, "mse": fit.val_mse, "n_samples": len(samples),
         "degenerate": fit.degenerate,
     }, indent=2))
     return 0
@@ -356,12 +343,14 @@ def _cmd_calibrate(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="mapfuse",
+        prog="mapfuse", allow_abbrev=False,
         description="Map matching for low-frequency GNSS tracks with score fusion")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subcommand does not inherit allow_abbrev; a prefix would run as a longer flag
+    add_command = functools.partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("match", help="match probe trajectories onto the network")
+    p = add_command("match", help="match probe trajectories onto the network")
     p.add_argument("--nodes", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--probes", required=True)
@@ -380,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_match)
 
-    p = sub.add_parser("synth", help="generate a synthetic fleet on a grid network")
+    p = add_command("synth", help="generate a synthetic fleet on a grid network")
     p.add_argument("--out", required=True, help="probes CSV")
     p.add_argument("--truth-out", dest="truth_out")
     p.add_argument("--nodes-out", dest="nodes_out")
@@ -401,21 +390,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("downsample", help="thin probes to a coarser interval")
+    p = add_command("downsample", help="thin probes to a coarser interval")
     p.add_argument("--probes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--interval", type=float, required=True)
     _add_setting_flag(p, "trip_gap")
     p.set_defaults(func=_cmd_downsample)
 
-    p = sub.add_parser("evaluate", help="score predictions against truth")
+    p = add_command("evaluate", help="score predictions against truth")
     p.add_argument("--pred", required=True)
     p.add_argument("--truth", required=True)
     p.add_argument("--cost-seconds", type=float, dest="cost_seconds")
     p.add_argument("--n-trajectories", type=int, dest="n_trajectories")
     p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("train-predictor", help="fit the spectral traffic predictor")
+    p = add_command("train-predictor", help="fit the spectral traffic predictor")
     p.add_argument("--nodes", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--states", required=True, help="state log CSV from match --states-out")
@@ -427,14 +416,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=2000)
     p.set_defaults(func=_cmd_train_predictor)
 
-    p = sub.add_parser("calibrate", help="fit fusion weights from high-frequency anchors")
+    p = add_command("calibrate", help="fit fusion weights from high-frequency anchors")
     p.add_argument("--nodes", required=True)
     p.add_argument("--links", required=True)
     p.add_argument("--probes", required=True, help="high-frequency anchor probes")
     p.add_argument("--out", required=True, help="weights JSON")
     p.add_argument("--samples-out", dest="samples_out")
     p.add_argument("--intervals", default="30,60,120,180,240,300")
-    p.add_argument("--epochs", type=int, default=20000)
     p.add_argument("--seed", type=int, default=0)
     _add_pipeline_flags(p)
     p.set_defaults(func=_cmd_calibrate)

@@ -209,16 +209,26 @@ class MatchSession:
             traffic = traffic_scores(occ)
         else:
             traffic = [0.0] * len(paths)
-        weights = cfg.weights.restrict(cfg.use_kinematic, cfg.use_habit,
-                                       cfg.use_traffic and predicted is not None)
+        active = (cfg.use_kinematic, cfg.use_habit, cfg.use_traffic and predicted is not None)
         vectors = [ScoreVector(k, h, a) for k, h, a in zip(kin, habit, traffic)]
-        finals = [final_score(v, weights) for v in vectors]
+        finals = [0.0] * len(paths)  # traffic alone, with no prediction: the tie rule picks
+        if any(active):
+            weights = cfg.weights.restrict(*active)
+            finals = [final_score(v, weights) for v in vectors]
         best = select_path(list(zip(paths, finals)))
         return SegmentOutcome(best, paths, vectors)
 
     def match_trajectory(self, trajectory: Trajectory) -> MatchRecord:
         """Match every probe pair of a trajectory in time order."""
-        return match_record(trajectory, self.segment_outcomes(trajectory))
+        probes = trajectory.probes
+        matched: list[EdgeKey | None] = [None] * len(probes)
+        paths: list[tuple[EdgeKey, ...] | None] = [None] * len(probes)
+        for i, outcome in self.segment_outcomes(trajectory):
+            paths[i] = outcome.path.edges
+            matched[i] = outcome.path.end_edge
+            if matched[i - 1] is None:  # the first segment after a gap also matches its start
+                matched[i - 1] = outcome.path.start.edge.key
+        return MatchRecord.for_trip(trajectory, matched, paths)
 
     def segment_outcomes(self, trajectory: Trajectory) -> Iterator[tuple[int, SegmentOutcome]]:
         """Each matched segment's outcome with the index of its end probe, in time order.
@@ -287,20 +297,6 @@ class MatchSession:
                 for record in records:
                     self.feed_back(record)
         return out
-
-
-def match_record(trajectory: Trajectory,
-                 outcomes: Iterable[tuple[int, SegmentOutcome]]) -> MatchRecord:
-    """The record of a trajectory from its :meth:`MatchSession.segment_outcomes`."""
-    probes = trajectory.probes
-    matched: list[EdgeKey | None] = [None] * len(probes)
-    paths: list[tuple[EdgeKey, ...] | None] = [None] * len(probes)
-    for i, outcome in outcomes:
-        paths[i] = outcome.path.edges
-        matched[i] = outcome.path.end_edge
-        if matched[i - 1] is None:  # the first segment after a gap also matches its start
-            matched[i - 1] = outcome.path.start.edge.key
-    return MatchRecord.for_trip(trajectory, matched, paths)
 
 
 # -- output files -------------------------------------------------------------

@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 
 from mapfuse.cli import _CLI_DEFAULTS, _CONFIG_KEYS, _RENAMED, _default, main
 from mapfuse.matcher import MatcherConfig
-from mapfuse.network import load_network_csv
-from mapfuse.synth import make_grid_network
+from mapfuse.history import write_probes_csv
+from mapfuse.network import load_network_csv, save_network_csv
+from mapfuse.synth import generate_synthetic, make_grid_network
 from mapfuse.traffic import SpectralPredictor
 
 
@@ -200,10 +201,9 @@ class TestExitCodes:
         (workdir / "cfg.json").write_text(json.dumps({key: value}))
         assert main([*argv, "--config", str(workdir / "cfg.json")]) == 2
         assert f"unknown config keys ['{key}']" in capsys.readouterr().err
-        if key != "weights":  # never a flag, and --weights abbreviates --weights-file
-            with pytest.raises(SystemExit) as exc:
-                main([*argv, "--" + key.replace("_", "-"), str(value)])
-            assert exc.value.code == 2
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--" + key.replace("_", "-"), str(value)])
+        assert exc.value.code == 2
 
     def test_config_not_an_object_is_2(self, workdir, capsys):
         _synth(workdir)
@@ -478,10 +478,9 @@ def test_vehicle_id_that_escapes_or_breaks_an_output_is_2(fleet, tmp_path, capsy
 
 @pytest.mark.parametrize("argv, name", [
     (["calibrate", "--intervals", "abc"], "--intervals"),
-    (["calibrate", "--intervals", "60", "--epochs", "0"], "epoch"),
     (["train-predictor", "--max-steps", "2", "--epochs", "0"], "epoch"),
     (["calibrate", "--intervals", "60", "--seed", "-1"], "--seed"),
-])
+], ids=["argv0---intervals", "argv2-epoch", "argv3---seed"])  # fixed ids: a deleted case renames none
 def test_bad_count_or_list_is_2(fleet, tmp_path, capsys, argv, name):
     files = {"calibrate": ["--probes", str(fleet / "probes.csv")],
              "train-predictor": ["--states", str(fleet / "states.csv")]}[argv[0]]
@@ -489,6 +488,31 @@ def test_bad_count_or_list_is_2(fleet, tmp_path, capsys, argv, name):
                  "--out", str(tmp_path / "out.json"), *files, *argv[1:]])
     assert code == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [("match", ["--equal"]),
+                                            ("match", ["--weights", "weights.json"]),
+                                            ("calibrate", ["--epochs", "5"])])
+def test_flag_prefix_or_removed_flag_is_2(fleet, tmp_path, capsys, command, flags):
+    # a prefix of --equal-weights or --weights-file is not taken for it
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--nodes", str(fleet / "nodes.csv"), "--links", str(fleet / "links.csv"),
+              "--probes", str(fleet / "probes.csv"), "--out", str(tmp_path / "out"), *flags])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(flags) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flags", [("match", []), ("match", ["--predictor", "none"]),
+                                            ("calibrate", [])])
+def test_traffic_judge_alone_is_0(tmp_path, command, flags):
+    # the traffic judge is cold in the first interval, so no judge has a score there
+    assert main(["synth", "--out", str(tmp_path / "probes.csv"),
+                 "--nodes-out", str(tmp_path / "nodes.csv"),
+                 "--links-out", str(tmp_path / "links.csv"), "--vehicles", "4", "--trips", "2",
+                 "--grid-cols", "5", "--grid-rows", "5", "--interval", "30", "--seed", "1"]) == 0
+    assert main([command, "--nodes", str(tmp_path / "nodes.csv"),
+                 "--links", str(tmp_path / "links.csv"), "--probes", str(tmp_path / "probes.csv"),
+                 "--out", str(tmp_path / "out"), "--judges", "traffic", *flags]) == 0
 
 
 def test_max_steps_checked_before_the_model_is_built(fleet, tmp_path, capsys, monkeypatch):
@@ -536,7 +560,8 @@ def test_bad_evaluate_cost_is_2(fleet, capsys, flags):
                                          (["--noise", "-1"], "noise"),
                                          (["--min-duration", "nan"], "duration"),
                                          (["--min-duration", "inf"], "duration"),
-                                         (["--min-duration", "-1"], "duration")])
+                                         (["--min-duration", "-1"], "duration"),
+                                         (["--seed", "-1"], "--seed")])
 def test_bad_synth_setting_is_2(tmp_path, capsys, flags, name):
     assert main(["synth", "--out", str(tmp_path / "p.csv"), *flags]) == 2
     assert name in capsys.readouterr().err
@@ -755,8 +780,7 @@ class TestCalibrate:
                      "--probes", str(workdir / "probes.csv"),
                      "--out", str(workdir / "weights.json"),
                      "--samples-out", str(workdir / "samples.csv"),
-                     "--intervals", "30,60",
-                     "--epochs", "2000"])
+                     "--intervals", "30,60"])
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         w = summary["weights"]
@@ -766,3 +790,30 @@ class TestCalibrate:
         assert (workdir / "samples.csv").exists()
         # the fitted weights feed straight back into match
         _match(workdir, "m1.csv", "--weights-file", str(workdir / "weights.json"))
+
+    def test_trips_of_one_interval_are_sampled_as_if_each_ran_alone(self, tmp_path):
+        fleet = generate_synthetic(make_grid_network(8, 8, 200.0), 12, 0.7, False, 15.0, 3.0,
+                                   seed=4, trips_per_vehicle=1)
+        trip = max((t for t in fleet.trajectories if t.probes[-1].t - t.t0 <= 260.0),
+                   key=lambda t: t.probes[-1].t - t.t0)
+        duration = trip.probes[-1].t - trip.t0
+        # both starts fall in the update interval [1200, 1500)
+        first = [dataclasses.replace(p, t=p.t - trip.t0 + 1205.0) for p in trip.probes]
+        second = [dataclasses.replace(p, t=p.t - trip.t0 + 1235.0 + duration) for p in trip.probes]
+        save_network_csv(fleet.network, str(tmp_path / "nodes.csv"), str(tmp_path / "links.csv"))
+
+        def sample_rows(name, probes):
+            write_probes_csv(str(tmp_path / f"{name}.csv"), [("v", p) for p in probes])
+            # one trip may give fewer than the 30 samples a fit needs (exit 3); they are written
+            assert main(["calibrate", "--nodes", str(tmp_path / "nodes.csv"),
+                         "--links", str(tmp_path / "links.csv"),
+                         "--probes", str(tmp_path / f"{name}.csv"),
+                         "--out", str(tmp_path / "w.json"),
+                         "--samples-out", str(tmp_path / f"{name}-samples.csv"),
+                         "--trip-gap", "20", "--intervals", "15,30"]) in (0, 3)
+            with open(tmp_path / f"{name}-samples.csv", newline="", encoding="utf-8") as fh:
+                return list(csv.reader(fh))[1:]
+
+        pair = sample_rows("pair", first + second)
+        alone = sample_rows("first", first) + sample_rows("second", second)
+        assert pair and sorted(pair) == sorted(alone)

@@ -62,6 +62,17 @@ class TestSegments:
         assert cands[0].edge.key == (0, 1)
 
 
+@pytest.mark.parametrize("predictor", ["none", "naive"])
+def test_traffic_judge_alone_without_prediction_picks_by_the_tie_rule(predictor):
+    net, trajs = TestSessionFeedback._fleet()
+    session = MatchSession(net, _cold_config(predictor=predictor, use_kinematic=False,
+                                             use_habit=False))
+    outcomes = [outcome for traj in trajs for _, outcome in session.segment_outcomes(traj)]
+    assert outcomes
+    for outcome in outcomes:  # nothing is fed back, so no interval has a prediction
+        assert outcome.path == min(outcome.candidates, key=lambda p: p.sort_key)
+
+
 def _diamond_network():
     # two equal-length routes between A and C; bottom links get smaller ids
     nodes = [(0, -200.0, 0.0), (1, 0.0, 0.0), (2, 200.0, -150.0), (3, 200.0, 150.0),
